@@ -32,13 +32,19 @@ exit) if any regresses:
    counts.  This is the ``make bench-flat-parallel`` CI gate.
 
 5. **Preset scaling** (phase ``presets``).  Every scaling preset is
-   priced end-to-end on the array-native path (scipy-forest demand +
-   inline sweep), recording wall-clock, peak tracemalloc, and peak RSS,
-   each gated against a bound derived from the preset's own demand
-   accounting.  By default the phase covers n <= 2000;
+   priced end-to-end on the array-native path (demand straight from the
+   canonical parent forests + inline sweep), recording wall-clock, peak
+   tracemalloc, and peak RSS, each gated against a bound derived from
+   the preset's own demand accounting and the forests' block budget.  By default the phase covers n <= 2000;
    ``--full-presets`` extends it to n = 5000 and n = 10000 (the
    internet-scale floor -- minutes of wall-clock, run to refresh the
    committed artifact rather than per-CI).
+
+The speedup and parallel phases also time route selection both ways --
+the reference ``all_pairs_lcp`` and the canonical parent forests --
+and check that the forests equal the reference routes (parents and
+cost bits).  Every phase record carries a ``host`` stamp: core count,
+Python/numpy/scipy versions and git revision.
 
 ``--phases`` selects a comma-separated subset; the output document
 *merges* into an existing ``BENCH_flat.json`` (phases not re-run keep
@@ -65,10 +71,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import resource
+import subprocess
 import time
 import tracemalloc
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.graphs.generators import (
     SCALING_PRESETS,
@@ -124,6 +132,76 @@ def _tables_agree(expected, actual) -> List[str]:
     return problems
 
 
+def _host_stamp() -> Dict[str, Any]:
+    """Where a record was measured: cores, toolchain, git revision."""
+    import numpy
+    import scipy
+
+    try:
+        revision = subprocess.run(
+            ["git", "-C", os.path.dirname(os.path.abspath(__file__)), "rev-parse", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        revision = ""
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "git": revision or "unknown",
+    }
+
+
+def _timed_routes(graph) -> Tuple[Any, Dict[str, float], bool]:
+    """Reference routes plus both route-selection timings.
+
+    Returns ``(routes, {"reference": s, "forests": s}, identical)``:
+    the reference ``all_pairs_lcp`` routes, the wall time of each route
+    source, and whether the canonical parent forests equal the
+    reference routes (every parent, every cost bit).
+    """
+    import numpy as np
+
+    from repro.routing.allpairs import all_pairs_lcp
+    from repro.routing.flatgraph import build_flat_graph
+    from repro.routing.forests import canonical_forests
+
+    start = time.perf_counter()
+    routes = all_pairs_lcp(graph)
+    reference_seconds = time.perf_counter() - start
+
+    flat = build_flat_graph(graph)
+    start = time.perf_counter()
+    forests = list(canonical_forests(graph, flat))
+    forest_seconds = time.perf_counter() - start
+
+    node_ids = flat.node_ids
+    identical = True
+    for forest in forests:
+        for row, dense in enumerate(forest.destinations.tolist()):
+            tree = routes.tree(int(node_ids[dense]))
+            sources = np.searchsorted(node_ids, np.fromiter(tree.parents, np.int64))
+            parent = np.full(flat.num_nodes, -1, dtype=np.int64)
+            parent[sources] = np.searchsorted(
+                node_ids, np.fromiter(tree.parents.values(), np.int64)
+            )
+            cost = np.zeros(flat.num_nodes)
+            cost[sources] = np.fromiter(map(tree.cost, tree.parents), np.float64)
+            identical = (
+                identical
+                and np.array_equal(forest.parent[row], parent)
+                and forest.cost[row].tobytes() == cost.tobytes()
+            )
+    seconds = {
+        "reference": round(reference_seconds, 4),
+        "forests": round(forest_seconds, 4),
+    }
+    return routes, seconds, identical
+
+
 def _peak_rss_bytes() -> int:
     """High-water RSS of this process (Linux reports KiB).
 
@@ -172,6 +250,7 @@ def run_identity_phase() -> Dict[str, Any]:
     ]
 
     return {
+        "host": _host_stamp(),
         "reference_n": IDENTITY_REFERENCE_N,
         "legacy_n": IDENTITY_LEGACY_N,
         "pairs_compared": len(reference_table.rows) + len(legacy_rows),
@@ -181,16 +260,13 @@ def run_identity_phase() -> Dict[str, Any]:
 
 
 def run_speedup_phase(n: int) -> Dict[str, Any]:
-    from repro.routing.allpairs import all_pairs_lcp
     from repro.routing.engines.flat import FlatSweepStats, flat_price_rows
     from repro.routing.engines.vectorized import vcg_price_rows
 
     graph = isp_like_graph(n, seed=0, cost_sampler=integer_costs(1, 6))
     # Shared, precomputed routes: path selection is identical work for
     # both backends, so only the avoiding sweeps are timed.
-    routes_start = time.perf_counter()
-    routes = all_pairs_lcp(graph)
-    routes_seconds = time.perf_counter() - routes_start
+    routes, routes_seconds, forests_identical = _timed_routes(graph)
 
     legacy_start = time.perf_counter()
     legacy_rows = vcg_price_rows(graph, routes)
@@ -204,9 +280,11 @@ def run_speedup_phase(n: int) -> Dict[str, Any]:
     problems = _tables_agree(legacy_rows, flat_rows)
     speedup = legacy_seconds / flat_seconds if flat_seconds > 0 else float("inf")
     return {
+        "host": _host_stamp(),
         "n": n,
         "edges": graph.num_edges,
-        "routes_seconds": round(routes_seconds, 4),
+        "routes_seconds": routes_seconds,
+        "forests_identical": forests_identical,
         "legacy_seconds": round(legacy_seconds, 4),
         "flat_seconds": round(flat_seconds, 4),
         "speedup": round(speedup, 2),
@@ -244,6 +322,7 @@ def run_memory_phase() -> Dict[str, Any]:
     dense_cache_bytes = stats.solves * 8 * n * n  # one matrix per k
     cubic_bytes = 8 * n * n * n  # the O(n^3) strawman
     return {
+        "host": _host_stamp(),
         "preset": MEMORY_PRESET,
         "n": n,
         "edges": graph.num_edges,
@@ -273,7 +352,6 @@ def run_parallel_phase(quick: bool = False) -> Dict[str, Any]:
     """
     import numpy as np
 
-    from repro.routing.allpairs import all_pairs_lcp
     from repro.routing.engines.flat import flat_price_rows
     from repro.routing.flatsweep import FlatSweepStats, flat_price_arrays
 
@@ -286,9 +364,7 @@ def run_parallel_phase(quick: bool = False) -> Dict[str, Any]:
         preset = PARALLEL_PRESET
         graph = scaling_graph(PARALLEL_PRESET)
 
-    routes_start = time.perf_counter()
-    routes = all_pairs_lcp(graph)
-    routes_seconds = time.perf_counter() - routes_start
+    routes, routes_seconds, forests_identical = _timed_routes(graph)
 
     dict_start = time.perf_counter()
     flat_price_rows(graph, routes)
@@ -319,10 +395,12 @@ def run_parallel_phase(quick: bool = False) -> Dict[str, Any]:
 
     gated = next(row for row in worker_rows if row["workers"] == 4)
     return {
+        "host": _host_stamp(),
         "preset": preset,
         "n": graph.num_nodes,
         "edges": graph.num_edges,
-        "routes_seconds": round(routes_seconds, 4),
+        "routes_seconds": routes_seconds,
+        "forests_identical": forests_identical,
         "flat_dict_seconds": round(dict_seconds, 4),
         "workers": worker_rows,
         "speedup": gated["speedup_vs_flat_dict"],
@@ -339,22 +417,22 @@ def run_parallel_phase(quick: bool = False) -> Dict[str, Any]:
 def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
     """Price every scaling preset end-to-end on the array-native path.
 
-    Demand comes from the scipy predecessor forest (the canonical
-    tie-broken solve is infeasible at n >= 5000), the sweep runs
-    inline, and nothing materializes per-entry Python objects -- this
-    is the large-instance configuration the ROADMAP's internet-scale
-    item needs.  Peak tracemalloc is gated against a bound derived from
-    the preset's own demand accounting; peak RSS is recorded (run in
-    ascending size order, so the cumulative high-water mark is
-    attributable to the largest completed preset).
+    Demand comes straight from the canonical parent forests (the exact
+    reference routes, at every size), the sweep runs inline, and
+    nothing materializes per-entry Python objects -- this is the
+    large-instance configuration the ROADMAP's internet-scale item
+    needs.  Peak tracemalloc is gated against a bound derived from the
+    preset's own demand accounting and the forests' block budget; peak
+    RSS is recorded (run in ascending size order, so the cumulative
+    high-water mark is attributable to the largest completed preset).
     """
     from repro.routing.flatgraph import build_flat_graph
     from repro.routing.flatsweep import (
-        _FOREST_BLOCK,
         FlatSweepStats,
-        demand_from_forest,
+        demand_from_forests,
         sweep_demand,
     )
+    from repro.routing.forests import _FOREST_BUDGET, canonical_forests
 
     presets = [
         f"{family}-{n}"
@@ -370,7 +448,7 @@ def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
         stats = FlatSweepStats()
         tracemalloc.start()
         demand_start = time.perf_counter()
-        demand = demand_from_forest(graph, flat)
+        demand = demand_from_forests(flat, canonical_forests(graph, flat))
         demand_seconds = time.perf_counter() - demand_start
         sweep_start = time.perf_counter()
         arrays = sweep_demand(demand, stats=stats)
@@ -378,12 +456,15 @@ def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
         _current, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
 
-        # Demand-derived bound, no dict assembly term: the forest blocks
-        # (dist + predecessors + flattened parents), the demand arrays
-        # (two orders plus pre-gathered solve columns, ~56B/entry with
-        # concatenation transients), and a few live distance blocks.
+        # Demand-derived bound, no dict assembly term: one forest block
+        # (every per-block temporary -- label gathers, tight masks,
+        # tight-edge index lists, the flattened parents -- holds at most
+        # _FOREST_BUDGET elements, under ~96 bytes per element in all),
+        # the demand arrays (two orders plus pre-gathered solve columns,
+        # ~56B/entry with concatenation transients), and a few live
+        # distance blocks.
         block_bytes = 8 * n * stats.max_block_rows
-        forest_bytes = 24 * n * _FOREST_BLOCK
+        forest_bytes = 96 * _FOREST_BUDGET
         demand_bound = (
             64_000_000
             + 4 * block_bytes
@@ -391,6 +472,7 @@ def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
             + 96 * stats.entries
         )
         rows[preset] = {
+            "host": _host_stamp(),
             "n": n,
             "edges": graph.num_edges,
             "pairs_priced": arrays.num_pairs,
@@ -405,7 +487,7 @@ def run_presets_phase(sizes: Sequence[int]) -> Dict[str, Any]:
         del demand, arrays, flat, graph
     return {
         "sizes": sorted(sizes),
-        "demand": "scipy predecessor forest (canonical ties infeasible here)",
+        "demand": "canonical parent forests (bit-identical to route_tree)",
         "rows": rows,
         "note": (
             "timed under tracemalloc; rss_peak_bytes is the process "
@@ -442,6 +524,9 @@ def run_suite(
     failures: List[str] = []
     if "identity" in phases and not phases["identity"]["identical_keys"]:
         failures.append("identity: flat table disagrees")
+    for phase in ("speedup", "parallel"):
+        if phase in phases and not phases[phase]["forests_identical"]:
+            failures.append(f"{phase}: canonical forests differ from route_tree")
     if "speedup" in phases:
         if phases["speedup"]["problems"]:
             failures.append("speedup: flat table disagrees with legacy sweep")
@@ -532,20 +617,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         if unknown:
             parser.error(f"unknown phases: {', '.join(unknown)}")
 
-    document = run_suite(
+    current = run_suite(
         quick=args.quick, phases_selected=selected, full_presets=args.full_presets
     )
-    document = _merge_into_existing(args.out, document)
+    document = _merge_into_existing(args.out, current)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=2)
         fh.write("\n")
 
-    phases = document["phases"]
+    phases = current["phases"]
     if "speedup" in phases:
         speed = phases["speedup"]
         print(
             f"flat sweep n={speed['n']}: legacy {speed['legacy_seconds']}s, "
-            f"flat {speed['flat_seconds']}s ({speed['speedup']}x)"
+            f"flat {speed['flat_seconds']}s ({speed['speedup']}x); routes "
+            f"reference {speed['routes_seconds']['reference']}s, forests "
+            f"{speed['routes_seconds']['forests']}s"
         )
     if "memory" in phases:
         memory = phases["memory"]
@@ -564,7 +651,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(
             f"sharded sweep on {par['preset']}: flat dict "
-            f"{par['flat_dict_seconds']}s; {per_worker}"
+            f"{par['flat_dict_seconds']}s; {per_worker}; routes reference "
+            f"{par['routes_seconds']['reference']}s, forests "
+            f"{par['routes_seconds']['forests']}s"
         )
     if "presets" in phases:
         for preset, row in phases["presets"]["rows"].items():

@@ -36,7 +36,7 @@ rows computed, stored CSR entries masked in place) plus
 
 Span names (``obs.span``) cover the end-to-end pipeline:
 ``bgp.stage``, ``bgp.sync.run``, ``bgp.async.run``, ``bgp.timed.run``,
-``routing.all_pairs``, ``mechanism.price_table``,
+``routing.all_pairs``, ``routing.forests``, ``mechanism.price_table``,
 ``engine.all_pairs``, ``engine.price_table``, ``experiment.run``.
 """
 
@@ -105,6 +105,8 @@ SPAN_SYNC_RUN = "bgp.sync.run"
 SPAN_ASYNC_RUN = "bgp.async.run"
 SPAN_TIMED_RUN = "bgp.timed.run"
 SPAN_ALL_PAIRS = "routing.all_pairs"
+# the flat engine's canonical parent forests (routes when none given)
+SPAN_FORESTS = "routing.forests"
 SPAN_PRICE_TABLE = "mechanism.price_table"
 SPAN_ENGINE_ALL_PAIRS = "engine.all_pairs"
 SPAN_ENGINE_PRICE_TABLE = "engine.price_table"

@@ -7,7 +7,7 @@ destination trees, which is also exactly the state BGP distributes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Tuple
 
 import repro.obs as obs_mod
 from repro.devtools import sanitize as sanitize_checks
@@ -26,7 +26,7 @@ class AllPairsRoutes:
     """Selected LCPs for every ordered source-destination pair."""
 
     graph: ASGraph
-    trees: Dict[NodeId, RouteTree]
+    trees: Mapping[NodeId, RouteTree]
 
     @property
     def paths(self) -> Dict[Tuple[NodeId, NodeId], PathTuple]:

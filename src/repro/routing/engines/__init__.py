@@ -9,11 +9,17 @@ name          backend                                     carries paths
 ============= =========================================== ==============
 reference     serial pure Python (semantics-defining)     yes
 scipy         vectorized ``scipy.sparse.csgraph``         no (cost-only)
-flat          flat-CSR demand-restricted price sweep      no (cost-only)
+flat          exact canonical parent forests + flat-CSR   no (cost-only)
+              demand-restricted price sweep
 flat-parallel flat sweep sharded over shared memory       no (cost-only)
 parallel      multiprocessing shards of destinations      yes
 incremental   epoch-cached warm-start (stateful)          yes
 ============= =========================================== ==============
+
+``flat`` and ``flat-parallel`` take their routes, when none are passed,
+from :mod:`repro.routing.forests` -- batched scipy solves that equal
+the reference ``route_tree`` bit for bit -- but their prices stay
+cost-only (the sweep agrees with the reference to ~1e-15).
 
 Callers select an engine by name through the ``engine=`` parameter of
 :func:`repro.routing.allpairs.all_pairs_lcp` and

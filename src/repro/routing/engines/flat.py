@@ -1,10 +1,16 @@
 """The ``flat`` engine: batched, demand-restricted, memory-bounded prices.
 
-This is the scaling backend for the Theorem 1 price sweep.  Like the
-``scipy`` engine it is cost-only (path *selection* still comes from the
-canonical tie-broken routes -- prices are defined relative to them),
-but the avoiding sweep differs in three ways that move the feasible
-instance size from hundreds of nodes past ten thousand:
+This is the scaling backend for the Theorem 1 price sweep.  Path
+*selection* is the canonical tie-broken one -- prices are defined
+relative to it.  When no routes are passed, the routes come from the
+exact canonical parent forests of :mod:`repro.routing.forests` (batched
+scipy solves, bit-identical to ``route_tree``): demand is unrolled
+straight from the forest blocks, and the table's ``routes`` builds each
+``RouteTree`` on first access.  Like the ``scipy`` engine it stays
+cost-only -- its avoiding costs agree with the reference to ~1e-15, not
+bit for bit, and it serves no ``all_pairs`` -- and the avoiding sweep
+differs in three ways that move the feasible instance size from
+hundreds of nodes past ten thousand:
 
 1. **One-shot CSR, O(deg(k)) masking.**  The directed
    ``w(u -> v) = c_v`` reduction is built once per graph epoch as flat
@@ -44,10 +50,13 @@ with :class:`~repro.routing.engines.flat_parallel.FlatParallelEngine`,
 which runs the same per-transit-node groups sharded across worker
 processes over shared memory.
 
-Observability: an observed run counts ``routing.flat.solves`` (masked
-Dijkstra calls, one per distinct transit node), ``routing.flat.rows``
-(distance rows actually computed -- the demand-restriction win),
-``routing.flat.masked`` (stored entries masked across all solves), and
+Observability: an observed run that computes its own routes wraps the
+forests in a ``routing.forests`` span and counts
+``routing.route_trees``; every observed run counts
+``routing.flat.solves`` (masked Dijkstra calls, one per distinct
+transit node), ``routing.flat.rows`` (distance rows actually computed
+-- the demand-restriction win), ``routing.flat.masked`` (stored
+entries masked across all solves), and
 ``routing.flat.workers`` / ``routing.flat.shards`` (the sweep's
 process/shard layout; 1/1 for this engine) alongside the standard
 engine span/counter surface.
@@ -68,10 +77,15 @@ from repro.routing.engines.base import CostMatrix, Engine
 from repro.routing.flatgraph import build_flat_graph
 from repro.routing.flatsweep import (
     _NEGATIVE_PRICE_EPS,  # noqa: F401  (re-export: tests pin the literal)
+    FlatDemand,
     FlatPriceArrays,
     FlatSweepStats,
+    demand_from_forests,
+    demand_from_routes,
     flat_price_arrays,
+    sweep_demand,
 )
+from repro.routing.forests import canonical_forests, forest_routes
 from repro.types import NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
@@ -120,7 +134,7 @@ class FlatEngine(Engine):
             return self._price_table(graph, routes=routes)
         stats = FlatSweepStats()
         with observer.span(metric_names.SPAN_ENGINE_PRICE_TABLE, engine=self.name):
-            table = self._build_table(graph, routes, stats)
+            table = self._build_table(graph, routes, stats, observer)
         observer.count(metric_names.PRICE_ROWS, len(table.rows), engine=self.name)
         observer.count(metric_names.FLAT_SOLVES, stats.solves, engine=self.name)
         observer.count(metric_names.FLAT_ROWS, stats.rows, engine=self.name)
@@ -136,27 +150,38 @@ class FlatEngine(Engine):
     ) -> "PriceTable":
         return self._build_table(graph, routes, FlatSweepStats())
 
-    def _price_arrays(
-        self,
-        graph: ASGraph,
-        routes: "AllPairsRoutes",
-        stats: FlatSweepStats,
-    ) -> FlatPriceArrays:
+    def _sweep(self, demand: FlatDemand, stats: FlatSweepStats) -> FlatPriceArrays:
         """The sweep itself; the parallel subclass reroutes this onto
         its sharded worker pool."""
-        return flat_price_arrays(graph, routes, stats=stats)
+        return sweep_demand(demand, stats=stats)
 
     def _build_table(
         self,
         graph: ASGraph,
         routes: Optional["AllPairsRoutes"],
         stats: FlatSweepStats,
+        observer: Optional[obs_mod.Obs] = None,
     ) -> "PriceTable":
         from repro.mechanism.vcg import PriceTable
-        from repro.routing.allpairs import all_pairs_lcp
+        from repro.routing.allpairs import _sanitize_routes
 
-        routes = routes if routes is not None else all_pairs_lcp(graph)
-        rows = self._price_arrays(graph, routes, stats).to_rows()
+        flat = build_flat_graph(graph)
+        if routes is not None:
+            demand = demand_from_routes(graph, routes, flat)
+        else:
+            if observer is None:
+                forests = list(canonical_forests(graph, flat))
+            else:
+                with observer.span(metric_names.SPAN_FORESTS, engine=self.name):
+                    forests = list(canonical_forests(graph, flat))
+                observer.count(
+                    metric_names.ROUTE_TREES, flat.num_nodes, engine=self.name
+                )
+            routes = forest_routes(graph, forests)
+            if sanitize.enabled():
+                _sanitize_routes(graph, routes)
+            demand = demand_from_forests(flat, forests)
+        rows = self._sweep(demand, stats).to_rows()
         table = PriceTable(routes=routes, rows=rows)
         if sanitize.enabled():
             sanitize.check_price_table(graph, table)

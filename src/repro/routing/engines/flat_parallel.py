@@ -31,14 +31,14 @@ import os
 from typing import ClassVar, Optional
 
 from repro.exceptions import EngineError
-from repro.graphs.asgraph import ASGraph
 from repro.routing.engines.flat import FlatEngine
 from repro.routing.flatsweep import (
+    FlatDemand,
     FlatPriceArrays,
     FlatSweepStats,
-    flat_price_arrays,
+    round_robin_groups,
+    sweep_demand,
 )
-from repro.routing.allpairs import AllPairsRoutes
 
 __all__ = ["FlatParallelEngine"]
 
@@ -78,16 +78,12 @@ class FlatParallelEngine(FlatEngine):
         """The effective worker count."""
         return self._workers if self._workers is not None else (os.cpu_count() or 1)
 
-    def _price_arrays(
-        self,
-        graph: ASGraph,
-        routes: AllPairsRoutes,
-        stats: FlatSweepStats,
-    ) -> FlatPriceArrays:
-        return flat_price_arrays(
-            graph,
-            routes,
+    def _sweep(self, demand: FlatDemand, stats: FlatSweepStats) -> FlatPriceArrays:
+        return sweep_demand(
+            demand,
             workers=self.workers,
-            shards=self.workers * self._shards_per_worker,
+            shard_lists=round_robin_groups(
+                demand, self.workers * self._shards_per_worker
+            ),
             stats=stats,
         )

@@ -4,16 +4,17 @@ This module is the shared core under the ``flat`` and ``flat-parallel``
 engines.  It owns the three scaling moves that take the Theorem 1 price
 sweep past n = 10,000:
 
-1. **Vectorized inversion.**  The canonical routes (or a scipy
-   predecessor forest, for instances too large to tie-break
-   canonically) are flattened into per-transit-node demand by numpy
-   path-unrolling over dense parent arrays
-   (:func:`demand_from_routes` / :func:`demand_from_forest`) -- no
-   per-(source, destination) Python iteration.  The resulting
-   :class:`FlatDemand` keeps every demanded ``(i, j, k)`` entry in the
-   reference engine's scan order (destination ascending, source
-   ascending, transit in path order), so an entry's position *is* its
-   reference sequence number and violation witnesses stay exact.
+1. **Vectorized inversion.**  The canonical routes -- given route
+   trees, or the canonical parent forests of
+   :mod:`repro.routing.forests` when none are given -- are flattened
+   into per-transit-node demand by numpy path-unrolling over dense
+   parent arrays (:func:`demand_from_routes` /
+   :func:`demand_from_forests`) -- no per-(source, destination) Python
+   iteration.  The resulting :class:`FlatDemand` keeps every demanded
+   ``(i, j, k)`` entry in the reference engine's scan order
+   (destination ascending, source ascending, transit in path order),
+   so an entry's position *is* its reference sequence number and
+   violation witnesses stay exact.
 
 2. **Group-contiguous evaluation.**  Entries are stably sorted by
    transit node once, and the per-pair source/destination/LCP columns
@@ -51,6 +52,7 @@ from multiprocessing import resource_tracker, shared_memory
 from typing import (
     TYPE_CHECKING,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -61,13 +63,13 @@ import numpy as np
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from repro.exceptions import (
-    DisconnectedGraphError,
     EngineError,
     MechanismError,
     NotBiconnectedError,
 )
 from repro.graphs.asgraph import ASGraph
 from repro.routing.flatgraph import FlatGraph, build_flat_graph
+from repro.routing.forests import ParentForest, canonical_forests
 from repro.types import Cost, NodeId
 
 if TYPE_CHECKING:  # pragma: no cover - import-light at runtime
@@ -78,10 +80,11 @@ __all__ = [
     "FlatDemand",
     "FlatPriceArrays",
     "FlatSweepStats",
-    "demand_from_forest",
+    "demand_from_forests",
     "demand_from_routes",
     "flat_price_arrays",
     "flat_sweep_sharded",
+    "round_robin_groups",
     "shard_transit_nodes",
     "sweep_demand",
 ]
@@ -89,10 +92,6 @@ __all__ = [
 #: Tolerance of the defensive negative-price guard; identical to the
 #: reference sweep's literal so both paths trip on the same values.
 _NEGATIVE_PRICE_EPS = -1e-9
-
-#: Destinations per scipy Dijkstra batch in :func:`demand_from_forest`;
-#: bounds the live distance/predecessor blocks to O(block * n).
-_FOREST_BLOCK = 256
 
 
 @dataclass
@@ -389,77 +388,34 @@ def demand_from_routes(
     )
 
 
-def demand_from_forest(
-    graph: ASGraph,
-    flat: Optional[FlatGraph] = None,
-    *,
-    block_size: int = _FOREST_BLOCK,
+def demand_from_forests(
+    flat: FlatGraph, forests: Iterable[ParentForest]
 ) -> FlatDemand:
-    """Per-transit-node demand from a scipy shortest-path forest.
+    """Per-transit-node demand straight from canonical parent forests.
 
-    For instances too large to tie-break canonically (the 10k+ scaling
-    presets), the route trees are taken from ``csgraph.dijkstra``
-    predecessors instead of :func:`~repro.routing.allpairs.all_pairs_lcp`:
-    running on the *transposed* reduction from destination ``j`` makes
-    ``dist(j -> i)`` equal ``dist(i -> j)`` and the predecessor of
-    ``i`` equal ``i``'s next hop toward ``j``, so one batched solve per
-    destination block yields whole parent forests.  Destinations are
-    processed in blocks of *block_size* and each block is unrolled as
-    one flattened forest, preserving the (destination ascending, source
-    ascending) sequence order.
-
-    Caveats: scipy breaks shortest-path ties arbitrarily, so the
-    selected routes -- and therefore the demanded ``(i, j, k)`` sets --
-    agree with the canonical ones only up to ties (the scaling presets
-    draw continuous costs, where ties have measure zero), and even on
-    tie-free instances the LCP column matches the canonical labels only
-    to ~1 ulp (``dist - c_j`` re-associates the float sum).  Differential
-    fixtures must keep using canonical routes; this path exists for
-    instances where the canonical tie-broken solve itself is infeasible.
+    Each :class:`~repro.routing.forests.ParentForest` block is
+    flattened into one forest -- row ``b``'s slots live at
+    ``[b * n, (b + 1) * n)`` with parent pointers offset to match -- and
+    unrolled with :func:`_unroll_parents` in one pass.  Blocks arrive in
+    ascending destination order and sources come out ascending within
+    each, so the demand equals :func:`demand_from_routes` over the
+    reference routes array for array, LCP bits included.
     """
-    if block_size < 1:
-        raise EngineError(f"forest block size must be >= 1, got {block_size}")
-    flat = flat if flat is not None else build_flat_graph(graph)
     n = flat.num_nodes
-    # One transposed copy of the reduction, built once: the transpose
-    # maps "distance to j" problems onto ordinary rooted solves.
-    transposed = flat.matrix().T.tocsr()
     src_parts: List[np.ndarray] = []
     dst_parts: List[np.ndarray] = []
     lcp_parts: List[np.ndarray] = []
     width_parts: List[np.ndarray] = []
     entry_parts: List[np.ndarray] = []
-    for start in range(0, n, block_size):
-        block = np.arange(start, min(start + block_size, n), dtype=np.int64)
-        dist, predecessors = _csgraph_dijkstra(
-            transposed,
-            directed=True,
-            indices=block,
-            return_predecessors=True,
-        )
-        unreachable = ~np.isfinite(dist)
-        unreachable[np.arange(block.shape[0]), block] = False
-        if unreachable.any():
-            row = int(np.flatnonzero(unreachable.any(axis=1))[0])
-            missing = sorted(
-                flat.node_ids[np.flatnonzero(unreachable[row])].tolist()
-            )
-            destination = int(flat.node_ids[block[row]])
-            raise DisconnectedGraphError(
-                f"nodes {missing} cannot reach {destination}"
-            )
-        # Flatten the block into one forest: row b's slots live at
-        # [b * n, (b + 1) * n) and its parent pointers are offset to
-        # match; scipy's -9999 sentinel (roots, and nothing else on a
-        # connected graph) becomes -1.
-        base = (np.arange(block.shape[0], dtype=np.int64) * n)[:, np.newaxis]
-        parent = np.where(predecessors >= 0, predecessors + base, -1).ravel()
+    for forest in forests:
+        base = np.arange(forest.destinations.shape[0], dtype=np.int64) * n
+        parent = np.where(
+            forest.parent >= 0, forest.parent + base[:, np.newaxis], -1
+        ).ravel()
         sources, widths, entries = _unroll_parents(parent)
         src_parts.append((sources % n).astype(np.int32))
-        dst_parts.append(block[sources // n].astype(np.int32))
-        lcp_parts.append(
-            (dist - flat.costs[block][:, np.newaxis]).ravel()[sources]
-        )
+        dst_parts.append(forest.destinations[sources // n].astype(np.int32))
+        lcp_parts.append(forest.cost.ravel()[sources])
         width_parts.append(widths)
         entry_parts.append((entries % n).astype(np.int32))
     return _finalize_demand(
@@ -470,6 +426,15 @@ def demand_from_forest(
         _concat(width_parts, np.int64),
         _concat(entry_parts, np.int32),
     )
+
+
+def _demand(graph: ASGraph, routes: Optional["AllPairsRoutes"]) -> FlatDemand:
+    """Demand over *routes*, or -- when none are given -- straight from
+    the canonical forests, with no per-destination Python loop."""
+    flat = build_flat_graph(graph)
+    if routes is not None:
+        return demand_from_routes(graph, routes, flat)
+    return demand_from_forests(flat, canonical_forests(graph, flat))
 
 
 def _concat(parts: List[np.ndarray], dtype: type) -> np.ndarray:
@@ -946,9 +911,9 @@ def sweep_demand(
     )
 
 
-def _group_shards_round_robin(
-    demand: FlatDemand, shards: int
-) -> List[Sequence[int]]:
+def round_robin_groups(demand: FlatDemand, shards: int) -> List[Sequence[int]]:
+    """Deal the demand's transit groups round-robin into at most
+    *shards* shard lists (the engines' default layout)."""
     count = min(max(shards, 1), demand.num_groups) or 1
     return [range(i, demand.num_groups, count) for i in range(count)]
 
@@ -963,19 +928,16 @@ def flat_price_arrays(
 ) -> FlatPriceArrays:
     """Theorem 1 prices as flat arrays: demand inversion + sweep.
 
-    The end-to-end array-native path: canonical routes (computed if not
-    given) are inverted with :func:`demand_from_routes` and swept with
-    *workers* processes over ``min(shards, groups)`` round-robin shards
-    (*shards* defaults to *workers*).  The result prices exactly the
-    pairs :func:`repro.routing.engines.flat.flat_price_rows` would,
-    without materializing any per-entry Python structure.
+    The end-to-end array-native path: the given routes, or the
+    canonical forests when none are given, are inverted into demand
+    and swept with *workers* processes over ``min(shards, groups)``
+    round-robin shards (*shards* defaults to *workers*).  The result
+    prices exactly the pairs
+    :func:`repro.routing.engines.flat.flat_price_rows` would, without
+    materializing any per-entry Python structure.
     """
-    if routes is None:
-        from repro.routing.allpairs import all_pairs_lcp
-
-        routes = all_pairs_lcp(graph)
-    demand = demand_from_routes(graph, routes)
-    shard_lists = _group_shards_round_robin(
+    demand = _demand(graph, routes)
+    shard_lists = round_robin_groups(
         demand, shards if shards is not None else workers
     )
     return sweep_demand(
@@ -999,11 +961,7 @@ def flat_sweep_sharded(
     any partition, in any order, yields bit-identical priced arrays and
     the same error behavior.
     """
-    if routes is None:
-        from repro.routing.allpairs import all_pairs_lcp
-
-        routes = all_pairs_lcp(graph)
-    demand = demand_from_routes(graph, routes)
+    demand = _demand(graph, routes)
     demanded = demand.transit_nodes()
     sharded = [node for shard in shards for node in shard]
     if sorted(sharded) != sorted(demanded):
