@@ -40,7 +40,7 @@ test-engines:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest -x -q \
 		tests/test_engine_differential.py \
 		tests/test_golden_engines.py \
-		tests/test_engine_parallel.py \
+		tests/test_flat_parallel.py \
 		tests/test_engine_registry.py \
 		tests/test_canonical_forest.py
 
@@ -83,17 +83,18 @@ bench-timed:
 
 # flat-sweep benchmark: the batched k-avoiding price core; writes
 # BENCH_flat.json at the repo root and exits non-zero unless the flat
-# engine matches the reference/legacy tables, beats the legacy
-# vectorized sweep by >= 5x at n = 500, and prices the n = 1000
-# ISP-like preset within its demand-derived memory bound
+# engine (inline and with two workers) matches the reference tables,
+# prices the n = 1000 ISP-like preset within its demand-derived memory
+# bound, and passes the sharded-speed and preset gates below
 bench-flat:
 	$(PYTHON) benchmarks/bench_flat_sweep.py --out BENCH_flat.json
 
 # sharded flat-sweep gate: on the isp-like-2000 preset the 4-worker
-# array-native sweep must beat the single-process dict-materializing
-# flat path by >= 2x with bit-identical prices across worker counts;
-# merges the speedup-vs-workers rows into BENCH_flat.json without
-# discarding the committed full-preset records
+# array-native sweep (default layout, four shards per worker) must beat
+# the single-process dict-materializing flat path by >= 2x with
+# bit-identical prices across worker counts; merges the
+# speedup-vs-workers rows into BENCH_flat.json without discarding the
+# committed full-preset records
 bench-flat-parallel:
 	$(PYTHON) benchmarks/bench_flat_sweep.py --phases parallel --out BENCH_flat.json
 

@@ -3,35 +3,30 @@
 The ``flat`` engine is the scaling backend for the Theorem 1 price
 sweep: one-shot CSR build, O(deg(k)) in-place masking for ``G - k``,
 vectorized route inversion, demand-restricted and symmetry-oriented
-Dijkstra batches, array-native price evaluation; ``flat-parallel``
+Dijkstra batches, array-native price evaluation; ``workers > 1``
 shards the same sweep across worker processes over shared memory.
 This benchmark pins the claims that justify both, and fails (non-zero
 exit) if any regresses:
 
-1. **Identity** (phase ``identity``).  At n <= 200 the flat table must
-   match the reference engine (n = 128) and the legacy vectorized
-   sweep (n = 200): identical ``(pair, transit)`` key sets, every
-   price within ``costs_close``.
+1. **Identity** (phase ``identity``).  At n = 128 the flat table, inline
+   and with two pool workers, must match the reference engine:
+   identical ``(pair, transit)`` key sets, every price within
+   ``costs_close``.
 
-2. **Speed** (phase ``speedup``).  At n = 500 the flat sweep must
-   price the table at least ``SPEEDUP_FLOOR`` (5x) faster than the
-   legacy vectorized ``vcg_price_rows`` path, with the canonical
-   routes precomputed and shared so only the avoiding sweeps are
-   compared.
-
-3. **Memory** (phase ``memory``).  At n = 1000 (ISP-like scaling
+2. **Memory** (phase ``memory``).  At n = 1000 (ISP-like scaling
    preset) the dict-materializing sweep must complete with a
    tracemalloc peak under a bound derived from its own demand
    accounting.
 
-4. **Sharded speed** (phase ``parallel``).  On the isp-like-2000
-   preset, the array-native sharded sweep with 4 workers must beat the
+3. **Sharded speed** (phase ``parallel``).  On the isp-like-2000
+   preset, the array-native sharded sweep with 4 workers, in the
+   engine's default layout of four shards per worker, must beat the
    single-process dict-materializing ``flat`` path by at least
    ``PARALLEL_SPEEDUP_FLOOR`` (2x), with speedup-vs-workers rows
    recorded for workers 1/2/4 and bit-identical prices across worker
    counts.  This is the ``make bench-flat-parallel`` CI gate.
 
-5. **Preset scaling** (phase ``presets``).  Every scaling preset is
+4. **Preset scaling** (phase ``presets``).  Every scaling preset is
    priced end-to-end on the array-native path (demand straight from the
    canonical parent forests + inline sweep), recording wall-clock, peak
    tracemalloc, and peak RSS, each gated against a bound derived from
@@ -40,7 +35,7 @@ exit) if any regresses:
    internet-scale floor -- minutes of wall-clock, run to refresh the
    committed artifact rather than per-CI).
 
-The speedup and parallel phases also time route selection both ways --
+The parallel phase also times route selection both ways --
 the reference ``all_pairs_lcp`` and the canonical parent forests --
 and check that the forests equal the reference routes (parents and
 cost bits).  Every phase record carries a ``host`` stamp: core count,
@@ -48,14 +43,15 @@ Python/numpy/scipy versions and git revision.
 
 ``--phases`` selects a comma-separated subset; the output document
 *merges* into an existing ``BENCH_flat.json`` (phases not re-run keep
-their previous records), so the parallel CI gate does not discard the
-committed full-preset rows.  Run directly::
+their previous records; records of phases this script no longer has
+are dropped), so the parallel CI gate does not discard the committed
+full-preset rows.  Run directly::
 
     python benchmarks/bench_flat_sweep.py --quick --out BENCH_flat.json
     python benchmarks/bench_flat_sweep.py --phases parallel
     python benchmarks/bench_flat_sweep.py --phases presets --full-presets
 
-(``--quick`` shrinks the speedup/parallel instances and skips the
+(``--quick`` shrinks the parallel instance and skips the
 memory/presets phases; quick runs record but do not gate.)  Under
 pytest (``make bench``) a small configuration doubles as a regression
 assertion on identity, worker parity, and the demand accounting.
@@ -87,17 +83,11 @@ from repro.graphs.generators import (
 )
 from repro.types import costs_close
 
-#: The acceptance bar: flat sweep vs legacy vectorized sweep at n = 500.
-SPEEDUP_FLOOR = 5.0
-
 #: The acceptance bar: 4-worker array-native sharded sweep vs the
 #: single-process dict-materializing flat path at n = 2000.
 PARALLEL_SPEEDUP_FLOOR = 2.0
 
 IDENTITY_REFERENCE_N = 128
-IDENTITY_LEGACY_N = 200
-SPEEDUP_N = 500
-SPEEDUP_QUICK_N = 200
 MEMORY_PRESET = "isp-like-1000"
 PARALLEL_PRESET = "isp-like-2000"
 PARALLEL_QUICK_N = 300
@@ -109,7 +99,7 @@ PARALLEL_WORKERS = (1, 2, 4)
 PRESET_GATE_SIZES = (1000, 2000)
 PRESET_FULL_SIZES = (1000, 2000, 5000, 10000)
 
-ALL_PHASES = ("identity", "speedup", "memory", "parallel", "presets")
+ALL_PHASES = ("identity", "memory", "parallel", "presets")
 
 
 def _tables_agree(expected, actual) -> List[str]:
@@ -212,10 +202,7 @@ def _peak_rss_bytes() -> int:
 
 
 def run_identity_phase() -> Dict[str, Any]:
-    from repro.routing.allpairs import all_pairs_lcp
     from repro.routing.engines import get_engine
-    from repro.routing.engines.flat import flat_price_rows
-    from repro.routing.engines.vectorized import vcg_price_rows
 
     problems: List[str] = []
 
@@ -230,7 +217,7 @@ def run_identity_phase() -> Dict[str, Any]:
         f"reference n={IDENTITY_REFERENCE_N}: {p}"
         for p in _tables_agree(reference_table.rows, flat_table.rows)
     ]
-    sharded_table = get_engine("flat-parallel", workers=2).price_table(
+    sharded_table = get_engine("flat", workers=2).price_table(
         reference_graph, routes=reference_table.routes
     )
     problems += [
@@ -238,58 +225,11 @@ def run_identity_phase() -> Dict[str, Any]:
         for p in _tables_agree(reference_table.rows, sharded_table.rows)
     ]
 
-    legacy_graph = isp_like_graph(
-        IDENTITY_LEGACY_N, seed=2, cost_sampler=integer_costs(1, 6)
-    )
-    routes = all_pairs_lcp(legacy_graph)
-    legacy_rows = vcg_price_rows(legacy_graph, routes)
-    flat_rows = flat_price_rows(legacy_graph, routes)
-    problems += [
-        f"legacy n={IDENTITY_LEGACY_N}: {p}"
-        for p in _tables_agree(legacy_rows, flat_rows)
-    ]
-
     return {
         "host": _host_stamp(),
         "reference_n": IDENTITY_REFERENCE_N,
-        "legacy_n": IDENTITY_LEGACY_N,
-        "pairs_compared": len(reference_table.rows) + len(legacy_rows),
+        "pairs_compared": len(reference_table.rows),
         "identical_keys": not problems,
-        "problems": problems,
-    }
-
-
-def run_speedup_phase(n: int) -> Dict[str, Any]:
-    from repro.routing.engines.flat import FlatSweepStats, flat_price_rows
-    from repro.routing.engines.vectorized import vcg_price_rows
-
-    graph = isp_like_graph(n, seed=0, cost_sampler=integer_costs(1, 6))
-    # Shared, precomputed routes: path selection is identical work for
-    # both backends, so only the avoiding sweeps are timed.
-    routes, routes_seconds, forests_identical = _timed_routes(graph)
-
-    legacy_start = time.perf_counter()
-    legacy_rows = vcg_price_rows(graph, routes)
-    legacy_seconds = time.perf_counter() - legacy_start
-
-    stats = FlatSweepStats()
-    flat_start = time.perf_counter()
-    flat_rows = flat_price_rows(graph, routes, stats=stats)
-    flat_seconds = time.perf_counter() - flat_start
-
-    problems = _tables_agree(legacy_rows, flat_rows)
-    speedup = legacy_seconds / flat_seconds if flat_seconds > 0 else float("inf")
-    return {
-        "host": _host_stamp(),
-        "n": n,
-        "edges": graph.num_edges,
-        "routes_seconds": routes_seconds,
-        "forests_identical": forests_identical,
-        "legacy_seconds": round(legacy_seconds, 4),
-        "flat_seconds": round(flat_seconds, 4),
-        "speedup": round(speedup, 2),
-        "speedup_floor": SPEEDUP_FLOOR,
-        "sweep_stats": stats.__dict__.copy(),
         "problems": problems,
     }
 
@@ -344,8 +284,9 @@ def run_parallel_phase(quick: bool = False) -> Dict[str, Any]:
 
     The baseline is what the ``flat`` engine delivers -- the
     dict-materializing :func:`flat_price_rows` -- and the contenders
-    are what ``flat-parallel`` delivers: :func:`flat_price_arrays`
-    with 1/2/4 workers, no per-entry Python assembly.  Canonical
+    are what its pooled sweep delivers: :func:`flat_price_arrays`
+    with 1/2/4 workers in the default shard layout, no per-entry
+    Python assembly.  Canonical
     routes are precomputed and shared so route selection is out of the
     comparison, and prices must be bit-identical across all worker
     counts.
@@ -408,7 +349,7 @@ def run_parallel_phase(quick: bool = False) -> Dict[str, Any]:
         "prices_identical_across_workers": identical,
         "note": (
             "baseline is the flat engine's dict deliverable; contenders are "
-            "the flat-parallel engine's array deliverable (sweep + assembly "
+            "the pooled sweep's array deliverable (sweep + assembly "
             "both counted, shared precomputed routes)"
         ),
     }
@@ -503,15 +444,13 @@ def run_suite(
 ) -> Dict[str, Any]:
     if phases_selected is None:
         phases_selected = (
-            ("identity", "speedup", "parallel")
+            ("identity", "parallel")
             if quick
-            else ("identity", "speedup", "memory", "parallel", "presets")
+            else ("identity", "memory", "parallel", "presets")
         )
     phases: Dict[str, Any] = {}
     if "identity" in phases_selected:
         phases["identity"] = run_identity_phase()
-    if "speedup" in phases_selected:
-        phases["speedup"] = run_speedup_phase(SPEEDUP_QUICK_N if quick else SPEEDUP_N)
     if "memory" in phases_selected and not quick:
         phases["memory"] = run_memory_phase()
     if "parallel" in phases_selected:
@@ -524,18 +463,8 @@ def run_suite(
     failures: List[str] = []
     if "identity" in phases and not phases["identity"]["identical_keys"]:
         failures.append("identity: flat table disagrees")
-    for phase in ("speedup", "parallel"):
-        if phase in phases and not phases[phase]["forests_identical"]:
-            failures.append(f"{phase}: canonical forests differ from route_tree")
-    if "speedup" in phases:
-        if phases["speedup"]["problems"]:
-            failures.append("speedup: flat table disagrees with legacy sweep")
-        # the 5x bar is calibrated at n = 500; quick runs record but don't gate
-        if not quick and phases["speedup"]["speedup"] < SPEEDUP_FLOOR:
-            failures.append(
-                f"speedup {phases['speedup']['speedup']}x below the "
-                f"{SPEEDUP_FLOOR}x floor at n={phases['speedup']['n']}"
-            )
+    if "parallel" in phases and not phases["parallel"]["forests_identical"]:
+        failures.append("parallel: canonical forests differ from route_tree")
     if "memory" in phases and not phases["memory"]["within_bound"]:
         failures.append(
             f"memory: peak {phases['memory']['tracemalloc_peak_bytes']} "
@@ -571,7 +500,8 @@ def _merge_into_existing(path: str, document: Dict[str, Any]) -> Dict[str, Any]:
 
     Phases not re-run keep their previous records (so a
     ``--phases parallel`` CI gate does not discard the committed
-    full-preset rows); ``failures``/``passed`` always describe the
+    full-preset rows), records of phases outside :data:`ALL_PHASES`
+    are dropped, and ``failures``/``passed`` always describe the
     current run only.
     """
     if not os.path.exists(path):
@@ -583,7 +513,11 @@ def _merge_into_existing(path: str, document: Dict[str, Any]) -> Dict[str, Any]:
         return document
     if previous.get("benchmark") != document["benchmark"]:
         return document
-    merged_phases = dict(previous.get("phases", {}))
+    merged_phases = {
+        phase: record
+        for phase, record in previous.get("phases", {}).items()
+        if phase in ALL_PHASES
+    }
     merged_phases.update(document["phases"])
     document = dict(document)
     document["phases"] = merged_phases
@@ -595,7 +529,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="smaller speedup/parallel instances, skip memory/presets phases",
+        help="smaller parallel instance, skip memory/presets phases",
     )
     parser.add_argument(
         "--phases",
@@ -626,14 +560,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         fh.write("\n")
 
     phases = current["phases"]
-    if "speedup" in phases:
-        speed = phases["speedup"]
-        print(
-            f"flat sweep n={speed['n']}: legacy {speed['legacy_seconds']}s, "
-            f"flat {speed['flat_seconds']}s ({speed['speedup']}x); routes "
-            f"reference {speed['routes_seconds']['reference']}s, forests "
-            f"{speed['routes_seconds']['forests']}s"
-        )
     if "memory" in phases:
         memory = phases["memory"]
         print(
@@ -676,9 +602,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 def test_bench_flat_sweep(benchmark):
     import numpy as np
 
+    from repro.mechanism.vcg import compute_price_table
     from repro.routing.allpairs import all_pairs_lcp
     from repro.routing.engines.flat import FlatSweepStats, flat_price_rows
-    from repro.routing.engines.vectorized import vcg_price_rows
     from repro.routing.flatsweep import flat_price_arrays
 
     graph = isp_like_graph(96, seed=0, cost_sampler=integer_costs(1, 6))
@@ -686,7 +612,7 @@ def test_bench_flat_sweep(benchmark):
 
     flat_rows = benchmark(lambda: flat_price_rows(graph, routes))
 
-    assert not _tables_agree(vcg_price_rows(graph, routes), flat_rows)
+    assert not _tables_agree(compute_price_table(graph, routes).rows, flat_rows)
     stats = FlatSweepStats()
     flat_price_rows(graph, routes, stats=stats)
     # demand restriction + symmetric orientation must actually engage

@@ -1,20 +1,19 @@
-"""E11: engine scaling -- reference vs scipy vs parallel, same answers.
+"""E11: engine scaling -- reference vs flat (inline and pooled), same answers.
 
-The price-table benchmarks run every registered engine on the same
-n = 100 ISP-like instance and assert the results agree with the
-reference engine (bit-for-bit for path engines, ``costs_close`` for the
-vectorized cost-only engine), so the benchmark doubles as the
-differential harness at benchmark scale.  On multi-core hosts the
-parallel engine's wall clock beats the reference engine here; the
-assertion layer guarantees the speed never buys different answers.
+The price-table benchmarks run the reference engine and the ``flat``
+engine at one and two sweep workers on the same n = 100 ISP-like
+instance and assert the results agree with the reference engine
+(bit-for-bit for the reference itself, ``costs_close`` for the
+cost-only ``flat`` sweep), so the benchmark doubles as the
+differential harness at benchmark scale; the assertion layer
+guarantees the speed never buys different answers.
 """
 
-import numpy as np
+import pytest
 
 from repro.mechanism.vcg import compute_price_table
 from repro.routing.allpairs import all_pairs_lcp
 from repro.routing.engines import get_engine
-from repro.routing.engines.vectorized import all_pairs_costs
 from repro.types import costs_close
 
 
@@ -36,19 +35,11 @@ def test_bench_python_all_pairs(benchmark, isp32):
     assert len(routes.paths) == isp32.num_nodes * (isp32.num_nodes - 1)
 
 
-def test_bench_scipy_all_pairs(benchmark, isp32):
-    matrix, index = benchmark(all_pairs_costs, isp32)
+def test_bench_flat_cost_matrix(benchmark, isp32):
+    costs = benchmark(get_engine("flat").cost_matrix, isp32)
     routes = all_pairs_lcp(isp32)
-    reference = np.zeros_like(matrix)
     for (i, j), _path in routes.paths.items():
-        reference[index[i], index[j]] = routes.cost(i, j)
-    assert np.abs(matrix - reference).max() <= 1e-9
-
-
-def test_bench_parallel_all_pairs(benchmark, isp32):
-    engine = get_engine("parallel", workers=2)
-    routes = benchmark(engine.all_pairs, isp32)
-    assert routes.paths == all_pairs_lcp(isp32).paths
+        assert costs_close(costs.cost(i, j), routes.cost(i, j))
 
 
 def test_bench_prices_reference_n100(benchmark, isp100, isp100_reference_prices):
@@ -56,14 +47,8 @@ def test_bench_prices_reference_n100(benchmark, isp100, isp100_reference_prices)
     _assert_tables_agree(isp100_reference_prices, table, exact=True)
 
 
-def test_bench_prices_parallel_n100(benchmark, isp100, isp100_reference_prices):
-    engine = get_engine("parallel", workers=2)
-    table = benchmark.pedantic(engine.price_table, args=(isp100,), rounds=1, iterations=1)
-    assert engine.workers >= 2
-    _assert_tables_agree(isp100_reference_prices, table, exact=True)
-
-
-def test_bench_prices_scipy_n100(benchmark, isp100, isp100_reference_prices):
-    engine = get_engine("scipy")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_bench_prices_flat_n100(benchmark, isp100, isp100_reference_prices, workers):
+    engine = get_engine("flat", workers=workers)
     table = benchmark.pedantic(engine.price_table, args=(isp100,), rounds=1, iterations=1)
     _assert_tables_agree(isp100_reference_prices, table, exact=False)

@@ -31,12 +31,6 @@ not.  One symbol per concept:
 * :mod:`obs` -- the observability layer (spans, counters, gauges,
   trace sinks); off by default with zero overhead.
 
-The four historical runners (``run_distributed_mechanism``,
-``run_dynamic_scenario``, ``run_timed_mechanism``,
-``run_timed_scenario``) still work but emit ``DeprecationWarning``;
-they are thin wrappers over the same implementations :func:`run`
-dispatches to.  See the README migration table.
-
 Quickstart::
 
     from repro import api
@@ -83,17 +77,10 @@ from repro.bgp.delays import (
     resolve_delay,
 )
 from repro.bgp.timed import MRAIConfig, TimedEngine, resolve_mrai
-from repro.core.dynamics import (
-    dynamic_scenario,
-    run_dynamic_scenario,
-    run_timed_scenario,
-    timed_scenario,
-)
+from repro.core.dynamics import dynamic_scenario, timed_scenario
 from repro.devtools.flow import analyze_paths
 from repro.core.protocol import (
     distributed_mechanism,
-    run_distributed_mechanism,
-    run_timed_mechanism,
     timed_mechanism,
     verify_against_centralized,
 )
@@ -124,10 +111,6 @@ __all__ = [
     "resolve_delay",
     "resolve_mrai",
     "run",
-    "run_distributed_mechanism",
-    "run_dynamic_scenario",
-    "run_timed_mechanism",
-    "run_timed_scenario",
     "timed_mechanism",
     "timed_scenario",
     "verify_against_centralized",

@@ -4,7 +4,7 @@ Subcommands::
 
     repro-cli list                          # show experiment ids
     repro-cli engines                       # show registered engines
-    repro-cli run E5 [--scale full] [--engine parallel] [--protocol full] [--trace out.jsonl]
+    repro-cli run E5 [--scale full] [--engine flat] [--protocol full] [--trace out.jsonl]
     repro-cli all [--scale full] [--write-md EXPERIMENTS.md] [--trace out.jsonl]
     repro-cli trace summarize out.jsonl     # paper measures from a trace
     repro-cli trace validate out.jsonl      # schema-check a trace file

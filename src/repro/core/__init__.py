@@ -27,7 +27,6 @@ from repro.core.price_node import PriceComputingNode, UpdateMode
 from repro.core.protocol import (
     DistributedPriceResult,
     distributed_mechanism,
-    run_distributed_mechanism,
     timed_mechanism,
     verify_against_centralized,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "run",
     "distributed_mechanism",
     "timed_mechanism",
-    "run_distributed_mechanism",
     "verify_against_centralized",
     "ConvergenceBound",
     "convergence_bound",

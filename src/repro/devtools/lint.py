@@ -53,8 +53,8 @@ paper's correctness results depend on:
 
 ``RPR011`` -- **no imports of deprecated in-tree shims.**  Once a
     module is demoted to a deprecation shim (today:
-    ``repro.routing.scipy_engine``, superseded by
-    ``repro.routing.engines.vectorized``), in-tree code must import the
+    ``repro.routing.scipy_engine``, the old home of the since-removed
+    scipy engine's entry points), in-tree code must import the
     real home; importing the shim re-entangles the tree with a surface
     scheduled for deletion and fires the shim's ``DeprecationWarning``
     inside library code, which the ``-W error::DeprecationWarning`` CI

@@ -86,8 +86,9 @@ class EngineError(ReproError):
 
     Raised for unknown engine names in the
     :mod:`repro.routing.engines` registry, for capability mismatches
-    (e.g. asking a cost-only engine for selected paths), and for
-    invalid worker-pool configuration of the parallel engine.
+    (e.g. asking a cost-only engine for selected paths), for invalid
+    worker or shard layouts of the flat sweep, and for a sweep worker
+    that died.
     """
 
 

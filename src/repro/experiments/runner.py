@@ -50,7 +50,7 @@ def run_experiment(
     *engine* (a :mod:`repro.routing.engines` registry name) and
     *protocol* (``delta`` | ``full``, the BGP transport) are forwarded
     to experiments whose ``run`` accepts them -- and ignored by the
-    rest, so ``repro-experiments all --engine parallel`` and
+    rest, so ``repro-experiments all --engine flat`` and
     ``--protocol full`` stay valid across the board.
 
     While observability is enabled the experiment runs under an

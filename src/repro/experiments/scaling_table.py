@@ -1,11 +1,11 @@
 """E11: engine scaling (engineering, not a paper claim).
 
 Compares every engine registered in :mod:`repro.routing.engines` --
-serial pure-Python reference, vectorized scipy, multiprocessing
-parallel -- on all-pairs LCP costs *and* all-pairs Theorem 1 prices,
-and checks they agree with the reference answers.  This experiment
-exists so the repository's performance story is measured rather than
-asserted; it reproduces no specific paper artifact.
+serial pure-Python reference, flat-CSR sweep, epoch-cached
+incremental -- on all-pairs LCP costs *and* all-pairs Theorem 1
+prices, and checks they agree with the reference answers.  This
+experiment exists so the repository's performance story is measured
+rather than asserted; it reproduces no specific paper artifact.
 """
 
 from __future__ import annotations
@@ -44,13 +44,7 @@ def _engines_under_test(engine: Optional[str]) -> List[Tuple[str, Engine]]:
     if "reference" in names:
         names.remove("reference")
     ordered = ["reference"] + sorted(names)
-    instances: List[Tuple[str, Engine]] = []
-    for name in ordered:
-        # Pin two workers so the parallel path is a real multi-process
-        # run regardless of host core count.
-        options = {"workers": 2} if name == "parallel" else {}
-        instances.append((name, get_engine(name, **options)))
-    return instances
+    return [(name, get_engine(name)) for name in ordered]
 
 
 def run(scale: str = "small", seed: int = 0, engine: Optional[str] = None) -> ExperimentResult:

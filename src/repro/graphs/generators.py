@@ -337,8 +337,8 @@ FAMILIES: Dict[str, Callable[..., ASGraph]] = {
 
 #: Node counts of the shared large-instance presets.  The n = 10000
 #: entries are the internet-scale floor of the ROADMAP's policy-topology
-#: item; the flat-parallel sweep is the only engine expected to price
-#: them end-to-end.
+#: item; the flat engine's pooled sweep (``workers > 1``) is the only
+#: engine expected to price them end-to-end.
 SCALING_SIZES: Tuple[int, ...] = (1000, 2000, 5000, 10000)
 
 #: Seeded large-instance presets shared by the flat-sweep scaling

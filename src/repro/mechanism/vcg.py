@@ -120,8 +120,9 @@ def compute_price_table(
     :func:`repro.routing.allpairs.all_pairs_lcp`):
 
     *engine* selects a registered backend by name or instance from
-    :mod:`repro.routing.engines` -- ``"scipy"`` vectorizes the avoiding
-    sweep, ``"parallel"`` shards destinations over worker processes.
+    :mod:`repro.routing.engines` -- ``"flat"`` runs the avoiding sweep
+    over flat CSR arrays (``get_engine("flat", workers=N)`` shards it
+    over worker processes), ``"incremental"`` reuses cached trees.
     The default (``None`` or ``"reference"``) is the serial reference
     loop below; every engine returns identical tables per the
     differential test harness.

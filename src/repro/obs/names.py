@@ -23,16 +23,12 @@ metric                     kind     paper measure
 
 Engine-level metrics (the ROADMAP's production-scaling story):
 
-``engine.workers`` / ``engine.shards`` / ``engine.shard.size`` gauge the
-parallel engine's sharding (shard-size balance is the worker-utilization
-proxy: round-robin shards of near-equal size keep every worker busy),
-and ``mechanism.price_rows`` counts price-row throughput per engine.
+``mechanism.price_rows`` counts price-row throughput per engine.
 The flat engine's demand-restricted sweep is accounted by
 ``routing.flat.{solves,rows,masked}`` (masked Dijkstra calls, distance
 rows computed, stored CSR entries masked in place) plus
 ``routing.flat.{workers,shards}`` (the sweep's process/shard layout;
-1/1 for the inline ``flat`` engine, the pool geometry for
-``flat-parallel``).
+1/1 inline, the pool geometry for ``flat(workers=N)``).
 
 Span names (``obs.span``) cover the end-to-end pipeline:
 ``bgp.stage``, ``bgp.sync.run``, ``bgp.async.run``, ``bgp.timed.run``,
@@ -66,9 +62,6 @@ TIMED_MRAI_FLUSHES = "bgp.timed.mrai.flushes"
 TIMED_MRAI_COALESCED = "bgp.timed.mrai.rows_coalesced"
 
 # -- engine-level metrics ----------------------------------------------
-ENGINE_WORKERS = "engine.workers"
-ENGINE_SHARDS = "engine.shards"
-ENGINE_SHARD_SIZE = "engine.shard.size"
 PRICE_ROWS = "mechanism.price_rows"
 ROUTE_TREES = "routing.route_trees"
 
@@ -81,7 +74,7 @@ FLAT_SOLVES = "routing.flat.solves"
 FLAT_ROWS = "routing.flat.rows"
 FLAT_MASKED = "routing.flat.masked"
 # workers/shards: the sweep's process/shard layout (1/1 inline; the
-# shared-memory pool geometry under the flat-parallel engine).
+# shared-memory pool geometry when the flat engine runs workers > 1).
 FLAT_WORKERS = "routing.flat.workers"
 FLAT_SHARDS = "routing.flat.shards"
 

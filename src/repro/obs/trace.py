@@ -117,7 +117,7 @@ class TraceSummary:
     #: whether the trace recorded any ``routing.cache.*`` counter at
     #: all (an all-miss cold run still reports zeros in the summary).
     cache_seen: bool = False
-    #: ``routing.flat.*`` totals (flat / flat-parallel engines): masked
+    #: ``routing.flat.*`` totals (flat engine, any worker count): masked
     #: Dijkstra solves, distance rows computed, stored entries masked,
     #: and the sweep's worker/shard layout.
     flat_solves: int = 0

@@ -20,11 +20,11 @@ Key modules:
 * :mod:`repro.routing.avoiding` -- lowest-cost k-avoiding paths, the
   second ingredient of the VCG price.
 * :mod:`repro.routing.engines` -- the unified engine registry
-  (``reference`` | ``scipy`` | ``parallel``) behind the ``engine=``
+  (``reference`` | ``flat`` | ``incremental``) behind the ``engine=``
   parameter of :func:`all_pairs_lcp` and
-  :func:`repro.mechanism.vcg.compute_price_table`; the vectorized
-  cost-only entry points live in
-  :mod:`repro.routing.engines.vectorized`.
+  :func:`repro.mechanism.vcg.compute_price_table`; the cost-only
+  ``flat`` engine's array core lives in :mod:`repro.routing.flatgraph`
+  and :mod:`repro.routing.flatsweep`.
 """
 
 from repro.routing.allpairs import AllPairsRoutes, all_pairs_lcp

@@ -4,22 +4,22 @@ Every backend that can answer "all selected LCPs" / "all Theorem 1
 prices" for an :class:`~repro.graphs.asgraph.ASGraph` registers here
 under a stable name:
 
-============= =========================================== ==============
-name          backend                                     carries paths
-============= =========================================== ==============
-reference     serial pure Python (semantics-defining)     yes
-scipy         vectorized ``scipy.sparse.csgraph``         no (cost-only)
-flat          exact canonical parent forests + flat-CSR   no (cost-only)
-              demand-restricted price sweep
-flat-parallel flat sweep sharded over shared memory       no (cost-only)
-parallel      multiprocessing shards of destinations      yes
-incremental   epoch-cached warm-start (stateful)          yes
-============= =========================================== ==============
+=========== =========================================== ==============
+name        backend                                     carries paths
+=========== =========================================== ==============
+reference   serial pure Python (semantics-defining)     yes
+flat        exact canonical parent forests + flat-CSR   no (cost-only)
+            demand-restricted price sweep, inline or
+            sharded over ``workers`` processes
+incremental epoch-cached warm-start (stateful)          yes
+=========== =========================================== ==============
 
-``flat`` and ``flat-parallel`` take their routes, when none are passed,
-from :mod:`repro.routing.forests` -- batched scipy solves that equal
-the reference ``route_tree`` bit for bit -- but their prices stay
-cost-only (the sweep agrees with the reference to ~1e-15).
+``flat`` takes its routes, when none are passed, from
+:mod:`repro.routing.forests` -- batched scipy solves that equal the
+reference ``route_tree`` bit for bit -- but its prices stay cost-only
+(the sweep agrees with the reference to ~1e-15).  ``flat(workers=N)``
+runs the same sweep on a shared-memory process pool; its tables are
+bit-identical to the inline sweep's for every worker count.
 
 Callers select an engine by name through the ``engine=`` parameter of
 :func:`repro.routing.allpairs.all_pairs_lcp` and
@@ -38,16 +38,8 @@ from typing import Any, Callable, Dict, List, Tuple, Type, Union, cast
 from repro.exceptions import EngineError
 from repro.routing.engines.base import CostMatrix, Engine
 from repro.routing.engines.flat import FlatEngine, FlatSweepStats, flat_price_rows
-from repro.routing.engines.flat_parallel import FlatParallelEngine
 from repro.routing.engines.incremental import CacheStats, IncrementalEngine
-from repro.routing.engines.parallel import (
-    ParallelEngine,
-    all_pairs_sharded,
-    price_table_sharded,
-    shard_destinations,
-)
 from repro.routing.engines.reference import ReferenceEngine
-from repro.routing.engines.vectorized import ScipyEngine
 
 __all__ = [
     "CacheStats",
@@ -55,20 +47,14 @@ __all__ = [
     "Engine",
     "EngineSpec",
     "FlatEngine",
-    "FlatParallelEngine",
     "FlatSweepStats",
     "IncrementalEngine",
-    "ParallelEngine",
     "ReferenceEngine",
-    "ScipyEngine",
-    "all_pairs_sharded",
     "engine_names",
     "flat_price_rows",
     "get_engine",
-    "price_table_sharded",
     "register",
     "resolve_engine",
-    "shard_destinations",
 ]
 
 #: A caller-facing engine selector: a registry name or an instance.
@@ -104,7 +90,7 @@ def get_engine(name: str, **options: Any) -> Engine:
     """Instantiate a registered engine by name.
 
     *options* are forwarded to the engine constructor (e.g.
-    ``get_engine("parallel", workers=2)``).
+    ``get_engine("flat", workers=2)``).
     """
     try:
         engine_class = _REGISTRY[name]
@@ -124,8 +110,5 @@ def resolve_engine(engine: EngineSpec) -> Engine:
 
 
 register(ReferenceEngine)
-register(ScipyEngine)
 register(FlatEngine)
-register(FlatParallelEngine)
-register(ParallelEngine)
 register(IncrementalEngine)

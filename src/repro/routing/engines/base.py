@@ -3,19 +3,19 @@
 An *engine* answers the two bulk questions of the mechanism layer --
 "what are all selected lowest-cost routes?" and "what are all Theorem 1
 prices?" -- for one :class:`~repro.graphs.asgraph.ASGraph` instance.
-Engines differ in *how* (serial pure Python, vectorized scipy,
-multiprocessing shards), never in *what*: the differential test harness
-holds every registered engine to the reference answers.
+Engines differ in *how* (serial pure Python, epoch-cached warm starts,
+a flat-CSR sweep over numpy arrays), never in *what*: the differential
+test harness holds every registered engine to the reference answers.
 
 Capability model
 ----------------
 ``carries_paths`` distinguishes two engine classes:
 
-* **path engines** (``reference``, ``parallel``) materialize full
+* **path engines** (``reference``, ``incremental``) materialize full
   canonical tie-broken :class:`~repro.routing.allpairs.AllPairsRoutes`
   and must match the reference *exactly* -- same paths, bit-identical
   costs and prices;
-* **cost-only engines** (``scipy``) expose the cost/price surface but
+* **cost-only engines** (``flat``) expose the cost/price surface but
   not path objects; :meth:`Engine.all_pairs` raises
   :class:`~repro.exceptions.EngineError` and agreement is required only
   up to :func:`~repro.types.costs_close`.
@@ -87,7 +87,6 @@ class Engine(ABC):
         observer = obs_mod.active(obs)
         if observer is None:
             return self._all_pairs(graph)
-        self._observe_setup(observer, graph)
         with observer.span(metric_names.SPAN_ENGINE_ALL_PAIRS, engine=self.name):
             routes = self._all_pairs(graph)
         observer.count(
@@ -99,7 +98,7 @@ class Engine(ABC):
         """Backend hook for :meth:`all_pairs`; cost-only default."""
         raise EngineError(
             f"engine {self.name!r} is cost-only and does not carry paths; "
-            "use a path engine (reference, parallel) for all_pairs"
+            "use a path engine (reference, incremental) for all_pairs"
         )
 
     def price_table(
@@ -117,13 +116,11 @@ class Engine(ABC):
         When an observer is active the computation runs under an
         ``engine.price_table`` span and emits the
         ``mechanism.price_rows`` throughput counter, labelled with this
-        engine's name; engines with configurable parallelism also gauge
-        their worker/shard layout via :meth:`_observe_setup`.
+        engine's name.
         """
         observer = obs_mod.active(obs)
         if observer is None:
             return self._price_table(graph, routes=routes)
-        self._observe_setup(observer, graph)
         with observer.span(metric_names.SPAN_ENGINE_PRICE_TABLE, engine=self.name):
             table = self._price_table(graph, routes=routes)
         observer.count(
@@ -139,14 +136,11 @@ class Engine(ABC):
     ) -> "PriceTable":
         """Backend hook for :meth:`price_table`."""
 
-    def _observe_setup(self, observer: obs_mod.Obs, graph: ASGraph) -> None:
-        """Hook: emit engine-configuration gauges before an observed run."""
-
     def cost_matrix(self, graph: ASGraph) -> CostMatrix:
         """All-pairs transit costs as a dense matrix.
 
         Default implementation derives the matrix from
-        :meth:`all_pairs`; vectorized engines override it.
+        :meth:`all_pairs`; array-backed engines override it.
         """
         routes = self.all_pairs(graph)
         index = graph.index_of()

@@ -6,11 +6,11 @@ relative to it.  When no routes are passed, the routes come from the
 exact canonical parent forests of :mod:`repro.routing.forests` (batched
 scipy solves, bit-identical to ``route_tree``): demand is unrolled
 straight from the forest blocks, and the table's ``routes`` builds each
-``RouteTree`` on first access.  Like the ``scipy`` engine it stays
-cost-only -- its avoiding costs agree with the reference to ~1e-15, not
-bit for bit, and it serves no ``all_pairs`` -- and the avoiding sweep
-differs in three ways that move the feasible instance size from
-hundreds of nodes past ten thousand:
+``RouteTree`` on first access.  The engine stays cost-only -- its
+avoiding costs agree with the reference to ~1e-15, not bit for bit,
+and it serves no ``all_pairs`` -- and its avoiding sweep differs from
+the reference's in three ways that move the feasible instance size
+from hundreds of nodes past ten thousand:
 
 1. **One-shot CSR, O(deg(k)) masking.**  The directed
    ``w(u -> v) = c_v`` reduction is built once per graph epoch as flat
@@ -45,10 +45,11 @@ hundreds of nodes past ten thousand:
    the first one wins, so differential tests see identical error
    classes and messages.
 
-The sweep itself lives in :mod:`repro.routing.flatsweep` and is shared
-with :class:`~repro.routing.engines.flat_parallel.FlatParallelEngine`,
-which runs the same per-transit-node groups sharded across worker
-processes over shared memory.
+The sweep itself lives in :mod:`repro.routing.flatsweep`.  With
+``workers > 1`` it deals the per-transit-node groups round-robin into
+four shards per worker and runs them on a process pool over shared
+memory; tables *and* errors are bit-identical to the inline sweep's
+for every worker count (``tests/test_flat_parallel.py``).
 
 Observability: an observed run that computes its own routes wraps the
 forests in a ``routing.forests`` span and counts
@@ -58,8 +59,8 @@ transit node), ``routing.flat.rows`` (distance rows actually computed
 -- the demand-restriction win), ``routing.flat.masked`` (stored
 entries masked across all solves), and
 ``routing.flat.workers`` / ``routing.flat.shards`` (the sweep's
-process/shard layout; 1/1 for this engine) alongside the standard
-engine span/counter surface.
+process/shard layout; 1/1 inline) alongside the standard engine
+span/counter surface.
 """
 
 from __future__ import annotations
@@ -70,15 +71,13 @@ import numpy as np
 
 import repro.obs as obs_mod
 from repro.devtools import sanitize
-from repro.exceptions import DisconnectedGraphError
+from repro.exceptions import DisconnectedGraphError, EngineError
 from repro.graphs.asgraph import ASGraph
 from repro.obs import names as metric_names
 from repro.routing.engines.base import CostMatrix, Engine
 from repro.routing.flatgraph import build_flat_graph
 from repro.routing.flatsweep import (
     _NEGATIVE_PRICE_EPS,  # noqa: F401  (re-export: tests pin the literal)
-    FlatDemand,
-    FlatPriceArrays,
     FlatSweepStats,
     demand_from_forests,
     demand_from_routes,
@@ -114,10 +113,23 @@ def flat_price_rows(
 
 
 class FlatEngine(Engine):
-    """Flat-CSR cost-only engine for large price tables."""
+    """Flat-CSR cost-only engine for large price tables.
+
+    Parameters
+    ----------
+    workers:
+        Sweep processes.  ``1`` (the default) prices inline with no
+        pool and no shared memory; more run the sweep on a
+        shared-memory process pool, with identical output.
+    """
 
     name: ClassVar[str] = "flat"
     carries_paths: ClassVar[bool] = False
+
+    def __init__(self, workers: int = 1) -> None:
+        if workers < 1:
+            raise EngineError(f"worker count must be >= 1, got {workers}")
+        self.workers = workers
 
     # The flat sweep produces its own counters, so this engine manages
     # the observer explicitly (same signature as the reference engine,
@@ -150,11 +162,6 @@ class FlatEngine(Engine):
     ) -> "PriceTable":
         return self._build_table(graph, routes, FlatSweepStats())
 
-    def _sweep(self, demand: FlatDemand, stats: FlatSweepStats) -> FlatPriceArrays:
-        """The sweep itself; the parallel subclass reroutes this onto
-        its sharded worker pool."""
-        return sweep_demand(demand, stats=stats)
-
     def _build_table(
         self,
         graph: ASGraph,
@@ -181,7 +188,7 @@ class FlatEngine(Engine):
             if sanitize.enabled():
                 _sanitize_routes(graph, routes)
             demand = demand_from_forests(flat, forests)
-        rows = self._sweep(demand, stats).to_rows()
+        rows = sweep_demand(demand, workers=self.workers, stats=stats).to_rows()
         table = PriceTable(routes=routes, rows=rows)
         if sanitize.enabled():
             sanitize.check_price_table(graph, table)

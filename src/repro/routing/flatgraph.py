@@ -1,11 +1,11 @@
 """Flat CSR routing core: one-shot arrays, O(deg(k) + n) node masking.
 
-The vectorized engines reduce node-cost routing to directed edge
-weights ``w(u -> v) = c_v`` and hand the result to
-``scipy.sparse.csgraph``.  Before this module, that reduction was
-rebuilt from Python edge loops once *per transit node k* of the price
-sweep -- O(m) interpreter work times the number of distinct transit
-nodes, the dominant constant factor at n >= 500.
+The flat engine reduces node-cost routing to directed edge weights
+``w(u -> v) = c_v`` and hands the result to ``scipy.sparse.csgraph``.
+Rebuilding that reduction from Python edge loops once *per transit
+node k* of the price sweep would cost O(m) interpreter work times the
+number of distinct transit nodes, the dominant constant factor at
+n >= 500.
 
 :class:`FlatGraph` builds the reduction **once per graph epoch** with
 numpy primitives (no per-edge Python loops) and implements ``G - k`` by

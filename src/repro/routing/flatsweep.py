@@ -1,8 +1,7 @@
 """Vectorized demand inversion + shardable flat price sweep.
 
-This module is the shared core under the ``flat`` and ``flat-parallel``
-engines.  It owns the three scaling moves that take the Theorem 1 price
-sweep past n = 10,000:
+This module is the core under the ``flat`` engine.  It owns the three
+scaling moves that take the Theorem 1 price sweep past n = 10,000:
 
 1. **Vectorized inversion.**  The canonical routes -- given route
    trees, or the canonical parent forests of
@@ -32,13 +31,13 @@ sweep past n = 10,000:
    segments (zero copies per worker); each worker makes a *private*
    scratch copy of the edge-weight column -- the only array masking
    mutates -- and writes its groups' prices into disjoint slices of the
-   shared output.  The merge reuses the ``parallel`` engine's
-   discipline: per-shard results are aggregated deterministically and
-   the globally minimal-sequence violation is raised with the exact
+   shared output.  Per-shard results are aggregated deterministically
+   and the globally minimal-sequence violation is raised with the exact
    reference error class and message, so output is invariant to worker
-   count and shard order.  Segments are unlinked in a ``finally`` block
-   and backstopped by an ``atexit`` hook, so interrupted runs do not
-   leak ``/dev/shm`` entries.
+   count and shard order.  A worker that dies surfaces as an
+   :class:`~repro.exceptions.EngineError` instead of a hang.  Segments
+   are unlinked in a ``finally`` block and backstopped by an ``atexit``
+   hook, so interrupted runs do not leak ``/dev/shm`` entries.
 """
 
 from __future__ import annotations
@@ -47,6 +46,8 @@ import atexit
 import itertools
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from multiprocessing import resource_tracker, shared_memory
 from typing import (
@@ -83,15 +84,18 @@ __all__ = [
     "demand_from_forests",
     "demand_from_routes",
     "flat_price_arrays",
-    "flat_sweep_sharded",
     "round_robin_groups",
-    "shard_transit_nodes",
     "sweep_demand",
 ]
 
 #: Tolerance of the defensive negative-price guard; identical to the
 #: reference sweep's literal so both paths trip on the same values.
 _NEGATIVE_PRICE_EPS = -1e-9
+
+#: Transit-group shards dealt per pool worker by default: finer shards
+#: balance the skewed per-``k`` demand of ISP-like cores at a slightly
+#: higher dispatch cost.  One worker always sweeps one inline shard.
+_SHARDS_PER_WORKER = 4
 
 
 @dataclass
@@ -166,10 +170,6 @@ class FlatDemand:
     @property
     def num_groups(self) -> int:
         return int(self.group_k.shape[0])
-
-    def transit_nodes(self) -> Tuple[NodeId, ...]:
-        """The demanded transit nodes as node ids, ascending."""
-        return tuple(self.flat.node_ids[self.group_k].tolist())
 
 
 @dataclass
@@ -740,25 +740,6 @@ def _sweep_shard_worker(
 # ----------------------------------------------------------------------
 
 
-def shard_transit_nodes(
-    transit: Sequence[NodeId],
-    shards: int,
-) -> List[Tuple[NodeId, ...]]:
-    """Partition the demanded *transit* nodes round-robin into at most
-    *shards* shards.
-
-    Mirrors :func:`repro.routing.engines.parallel.shard_destinations`:
-    round-robin keeps shards balanced when per-``k`` demand is skewed
-    (core nodes of ISP-like topologies carry most transit), and the
-    merge is order-invariant, so any partition yields the same sweep
-    output -- this one is just a good default.
-    """
-    if shards < 1:
-        raise EngineError(f"shard count must be >= 1, got {shards}")
-    shards = min(shards, len(transit)) or 1
-    return [tuple(transit[i::shards]) for i in range(shards)]
-
-
 def _merge_shard_results(
     results: Sequence[Tuple[Tuple[int, int, int, int], Optional[_Violation]]],
     stats: FlatSweepStats,
@@ -767,8 +748,7 @@ def _merge_shard_results(
 
     Addition and ``min``-by-sequence are order-insensitive, so the
     merged accounting and the raised witness are invariant to worker
-    count and shard order -- the same discipline as the ``parallel``
-    engine's sorted merge.
+    count and shard order.
     """
     best: Optional[_Violation] = None
     for (solves, rows, masked, max_block_rows), violation in results:
@@ -856,12 +836,21 @@ def _sweep_pooled(
             "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         )
         tasks = [tuple(int(group) for group in shard) for shard in shard_lists]
-        with context.Pool(
-            processes=workers,
-            initializer=_init_sweep_worker,
-            initargs=(payload,),
-        ) as pool:
-            results = pool.map(_sweep_shard_worker, tasks)
+        # The executor reports a worker that dies as BrokenProcessPool;
+        # multiprocessing.Pool.map would wait forever for its task.
+        try:
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=context,
+                initializer=_init_sweep_worker,
+                initargs=(payload,),
+            ) as pool:
+                results = list(pool.map(_sweep_shard_worker, tasks))
+        except BrokenProcessPool as exc:
+            raise EngineError(
+                f"a flat sweep worker died ({workers} workers, "
+                f"{len(tasks)} shards); the sweep was abandoned"
+            ) from exc
         violation = _merge_shard_results(results, stats)
         return np.array(prices_view, copy=True), violation
     finally:
@@ -878,16 +867,21 @@ def sweep_demand(
     """Run the avoiding sweep over *demand*; returns the priced arrays.
 
     *shard_lists* are sequences of group indices (positions into
-    ``demand.group_k``); ``None`` means one shard holding every group.
-    ``workers <= 1`` -- or a single shard -- prices inline with no pool
-    and no shared memory; otherwise the shards run on *workers*
-    processes over shared-memory arrays.  Output, accounting, and the
-    raised violation (if any) are identical either way.
+    ``demand.group_k``) that must partition the groups exactly; ``None``
+    means one shard holding every group for ``workers <= 1``, and
+    ``workers * 4`` round-robin shards (:func:`round_robin_groups`)
+    otherwise.  ``workers <= 1`` -- or a single shard -- prices inline
+    with no pool and no shared memory; otherwise the shards run on
+    *workers* processes over shared-memory arrays.  Output, accounting,
+    and the raised violation (if any) are identical either way.
     """
+    if shard_lists is None:
+        shard_lists = round_robin_groups(
+            demand, workers * _SHARDS_PER_WORKER if workers > 1 else 1
+        )
+    _check_partition(shard_lists, demand.num_groups)
     stats = stats if stats is not None else FlatSweepStats()
     stats.entries = demand.num_entries
-    if shard_lists is None:
-        shard_lists = [range(demand.num_groups)]
     stats.shards = len(shard_lists)
     stats.workers = 1
     if workers <= 1 or len(shard_lists) <= 1:
@@ -911,9 +905,24 @@ def sweep_demand(
     )
 
 
+def _check_partition(shard_lists: Sequence[Sequence[int]], groups: int) -> None:
+    """Reject shard lists that miss or repeat a group: a missing group
+    would leave its prices unwritten."""
+    listed = np.fromiter(
+        itertools.chain.from_iterable(shard_lists), dtype=np.int64
+    )
+    in_range = listed[(listed >= 0) & (listed < groups)]
+    once = np.bincount(in_range, minlength=groups) == 1
+    if listed.size != groups or not once.all():
+        raise EngineError(
+            f"shard lists must partition the {groups} demanded transit "
+            f"groups exactly; got {listed.size} group indices"
+        )
+
+
 def round_robin_groups(demand: FlatDemand, shards: int) -> List[Sequence[int]]:
     """Deal the demand's transit groups round-robin into at most
-    *shards* shard lists (the engines' default layout)."""
+    *shards* shard lists (the default layout)."""
     count = min(max(shards, 1), demand.num_groups) or 1
     return [range(i, demand.num_groups, count) for i in range(count)]
 
@@ -931,49 +940,14 @@ def flat_price_arrays(
     The end-to-end array-native path: the given routes, or the
     canonical forests when none are given, are inverted into demand
     and swept with *workers* processes over ``min(shards, groups)``
-    round-robin shards (*shards* defaults to *workers*).  The result
-    prices exactly the pairs
+    round-robin shards (*shards* defaults to :func:`sweep_demand`'s
+    layout: one inline shard, or four per worker).  The result prices
+    exactly the pairs
     :func:`repro.routing.engines.flat.flat_price_rows` would, without
     materializing any per-entry Python structure.
     """
     demand = _demand(graph, routes)
-    shard_lists = round_robin_groups(
-        demand, shards if shards is not None else workers
-    )
-    return sweep_demand(
-        demand, workers=workers, shard_lists=shard_lists, stats=stats
-    )
-
-
-def flat_sweep_sharded(
-    graph: ASGraph,
-    shards: Sequence[Tuple[NodeId, ...]],
-    workers: int = 1,
-    routes: Optional["AllPairsRoutes"] = None,
-    *,
-    stats: Optional[FlatSweepStats] = None,
-) -> FlatPriceArrays:
-    """The sweep over an explicit transit-node partition; exposed so the
-    property tests can permute sharding.
-
-    *shards* must partition the demanded transit set exactly (compare
-    :func:`shard_transit_nodes`, which builds the default partition);
-    any partition, in any order, yields bit-identical priced arrays and
-    the same error behavior.
-    """
-    demand = _demand(graph, routes)
-    demanded = demand.transit_nodes()
-    sharded = [node for shard in shards for node in shard]
-    if sorted(sharded) != sorted(demanded):
-        raise EngineError(
-            "transit shards must partition the demanded transit set "
-            f"exactly; got {sorted(sharded)} for transit nodes "
-            f"{sorted(demanded)}"
-        )
-    group_of = {node: position for position, node in enumerate(demanded)}
-    shard_lists: List[Sequence[int]] = [
-        [group_of[node] for node in shard] for shard in shards
-    ]
+    shard_lists = None if shards is None else round_robin_groups(demand, shards)
     return sweep_demand(
         demand, workers=workers, shard_lists=shard_lists, stats=stats
     )

@@ -53,8 +53,8 @@ class TestQuickstart:
 
     def test_engine_accepts_name_and_instance(self):
         graph = api.fig1_graph()
-        by_name = api.compute_price_table(graph, engine="parallel")
+        by_name = api.compute_price_table(graph, engine="flat")
         by_instance = api.compute_price_table(
-            graph, engine=api.get_engine("parallel")
+            graph, engine=api.get_engine("flat", workers=2)
         )
         assert by_name.rows == by_instance.rows

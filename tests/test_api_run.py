@@ -206,40 +206,11 @@ class TestSanitizeOverride:
     def test_override_is_scoped_to_the_run(self, fig1):
         from repro.devtools import sanitize as sanitize_checks
 
-        assert not sanitize_checks.enabled()
-        api.run(fig1, sanitize=True)
-        assert not sanitize_checks.enabled()
-
-
-class TestDeprecatedWrappers:
-    """Old names warn but still produce the same reports."""
-
-    def test_run_distributed_mechanism_warns(self, fig1):
-        with pytest.deprecated_call(match="run_distributed_mechanism"):
-            legacy = api.run_distributed_mechanism(fig1)
-        assert _price_state(legacy) == _price_state(api.run(fig1))
-
-    def test_run_timed_mechanism_warns(self, fig1):
-        with pytest.deprecated_call(match="run_timed_mechanism"):
-            legacy = api.run_timed_mechanism(
-                fig1, seed=2, delay=ConstantDelay(0.2)
-            )
-        unified = api.run(fig1, protocol="timed", seed=2, delay="constant:0.2")
-        assert (
-            legacy.report.convergence_time == unified.report.convergence_time
-        )
-
-    def test_run_dynamic_scenario_warns(self, fig1):
-        with pytest.deprecated_call(match="run_dynamic_scenario"):
-            legacy = api.run_dynamic_scenario(fig1, [CostChange(3, 7.0)])
-        assert legacy.all_ok
-
-    def test_run_timed_scenario_warns(self, fig1):
-        with pytest.deprecated_call(match="run_timed_scenario"):
-            legacy = api.run_timed_scenario(
-                fig1, [(1.0, CostChange(3, 7.0))], seed=1
-            )
-        assert legacy.ok
+        # Ambient checks off explicitly: REPRO_SANITIZE=1 turns them on.
+        with sanitize_checks.sanitized(False):
+            assert not sanitize_checks.enabled()
+            api.run(fig1, sanitize=True)
+            assert not sanitize_checks.enabled()
 
 
 class TestSignature:

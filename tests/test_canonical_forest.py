@@ -199,14 +199,15 @@ TABLE_GRAPHS = {
 
 
 class TestFlatTable:
+    # "flat-parallel" is the flat engine with two pool workers.
     @pytest.mark.parametrize("engine", ["flat", "flat-parallel"])
     @pytest.mark.parametrize("name", sorted(TABLE_GRAPHS))
     def test_forest_table_equals_route_tree_table(self, engine, name):
         graph = TABLE_GRAPHS[name]()
         reference = all_pairs_lcp(graph)
-        options = {"workers": 2} if engine == "flat-parallel" else {}
-        forest_table = get_engine(engine, **options).price_table(graph)
-        routed_table = get_engine(engine, **options).price_table(graph, routes=reference)
+        flat = get_engine("flat", workers=2 if engine == "flat-parallel" else 1)
+        forest_table = flat.price_table(graph)
+        routed_table = flat.price_table(graph, routes=reference)
         assert forest_table.routes.paths == reference.paths
         for destination in graph.nodes:
             tree = forest_table.routes.tree(destination)

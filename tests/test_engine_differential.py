@@ -35,11 +35,15 @@ from repro.graphs.generators import (
 from repro.routing.engines import Engine, engine_names, get_engine
 from repro.types import costs_close
 
+#: Every registered engine with default options, plus ``flat`` with two
+#: workers so its pooled sweep runs real worker processes (and its merge
+#: path) regardless of host core count.
+CONFIGS = {name: (name, {}) for name in engine_names()}
+CONFIGS["flat-parallel"] = ("flat", {"workers": 2})
 
-def _engine(name: str) -> Engine:
-    # Two workers so the parallel engines exercise real worker
-    # processes (and their merge paths) regardless of host core count.
-    options = {"workers": 2} if name in ("parallel", "flat-parallel") else {}
+
+def _engine(config: str) -> Engine:
+    name, options = CONFIGS[config]
     return get_engine(name, **options)
 
 
@@ -78,7 +82,7 @@ def instance(request):
     )
 
 
-@pytest.mark.parametrize("name", [n for n in engine_names() if n != "reference"])
+@pytest.mark.parametrize("name", [c for c in sorted(CONFIGS) if c != "reference"])
 class TestAgainstReference:
     def test_costs_agree(self, instance, name):
         graph, _routes, reference_costs, _table = instance
@@ -128,7 +132,7 @@ def test_pairwise_price_keys_identical(instance):
     """All engines store exactly the same (pair, transit node) keys:
     which entries exist is tie-break semantics, not arithmetic."""
     graph, _routes, _costs, _table = instance
-    tables = {name: _engine(name).price_table(graph) for name in engine_names()}
+    tables = {name: _engine(name).price_table(graph) for name in CONFIGS}
     names = sorted(tables)
     for left, right in zip(names, names[1:]):
         assert set(tables[left].rows) == set(tables[right].rows)

@@ -1,12 +1,13 @@
 """Tests for the flat-CSR routing core and the ``flat`` engine.
 
 The flat engine's correctness story has three independent layers, each
-pinned here: the one-shot CSR build must equal the per-call matrix the
-scipy engine constructs; in-place masking must implement ``G - k``
-exactly (including the stored-zero round-trip for zero-cost nodes) and
-restore the arrays verbatim; and the demand-restricted sweep must
-reproduce the reference engine's prices, error classes, error
-*messages*, and deterministic violation witness.  Cross-engine value
+pinned here: the one-shot CSR build must equal the directed
+``w(u -> v) = c_v`` reduction of the graph's edge list; in-place
+masking must implement ``G - k`` exactly (including the stored-zero
+round-trip for zero-cost nodes) and restore the arrays verbatim; and
+the demand-restricted sweep must reproduce the reference engine's
+prices, error classes, error *messages*, and deterministic violation
+witness.  Cross-engine value
 agreement is additionally covered by the differential harness
 (``test_engine_differential.py``) and the golden fixtures -- the flat
 engine registers like any other backend, so those parametrize over it
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 import repro.obs as obs
@@ -33,13 +35,10 @@ from repro.graphs.generators import (
     random_biconnected_graph,
     uniform_costs,
 )
+from repro.mechanism.vcg import compute_price_table
 from repro.routing.allpairs import all_pairs_lcp
+from repro.routing.avoiding import avoiding_tree
 from repro.routing.engines import FlatEngine, FlatSweepStats, flat_price_rows, get_engine
-from repro.routing.engines.vectorized import (
-    _directed_weight_matrix,
-    avoiding_costs_matrix,
-    vcg_price_rows,
-)
 from repro.routing.flatgraph import build_flat_graph
 from repro.types import costs_close
 
@@ -68,7 +67,16 @@ class TestFlatGraphBuild:
     def test_matches_directed_weight_matrix(self, factory):
         graph = factory()
         flat = build_flat_graph(graph)
-        expected, costs, index = _directed_weight_matrix(graph)
+        # The reduction built edge by edge: w(u -> v) = c_v, both ways.
+        index = {node: position for position, node in enumerate(sorted(graph.nodes))}
+        costs = np.array([graph.cost(node) for node in sorted(graph.nodes)])
+        rows, cols, weights = [], [], []
+        for u, v in graph.edges:
+            rows += [index[u], index[v]]
+            cols += [index[v], index[u]]
+            weights += [graph.cost(v), graph.cost(u)]
+        n = graph.num_nodes
+        expected = csr_matrix((weights, (rows, cols)), shape=(n, n))
         assert flat.index == index
         np.testing.assert_array_equal(flat.costs, costs)
         np.testing.assert_array_equal(
@@ -95,23 +103,27 @@ class TestMasking:
     def test_masked_dijkstra_equals_avoiding_matrix(self):
         graph = isp_like_graph(18, seed=2, cost_sampler=integer_costs(1, 6))
         flat = build_flat_graph(graph)
+        index = flat.index
         for k in graph.nodes:
-            expected, index = avoiding_costs_matrix(graph, k)
-            ki = index[k]
-            with flat.masked(ki) as matrix:
+            with flat.masked(index[k]) as matrix:
                 dist = csgraph_dijkstra(
                     matrix, directed=True, return_predecessors=False
                 )
             transit = dist - flat.costs[np.newaxis, :]
-            np.fill_diagonal(transit, 0.0)
-            # rows/columns of k itself are mechanism-undefined; the
-            # avoiding matrix pins them to inf, masking leaves k's
-            # out-edges intact -- compare everywhere else.
-            keep = np.ones(graph.num_nodes, dtype=bool)
-            keep[ki] = False
-            np.testing.assert_allclose(
-                transit[np.ix_(keep, keep)], expected[np.ix_(keep, keep)]
-            )
+            # rows/columns of k itself are mechanism-undefined (masking
+            # leaves k's out-edges intact) -- compare everywhere else
+            # with the reference k-avoiding trees.
+            for destination in graph.nodes:
+                if destination == k:
+                    continue
+                tree = avoiding_tree(graph, destination, k)
+                for source in graph.nodes:
+                    if source in (k, destination):
+                        continue
+                    assert tree.has_route(source)
+                    assert transit[index[source], index[destination]] == (
+                        pytest.approx(tree.cost(source))
+                    ), (k, source, destination)
 
     def test_mask_restores_weights_verbatim(self):
         graph = zero_cost_graph()
@@ -146,10 +158,10 @@ class TestFlatPriceRows:
             ),
         ],
     )
-    def test_agrees_with_legacy_vectorized_rows(self, factory):
+    def test_agrees_with_reference_rows(self, factory):
         graph = factory()
         routes = all_pairs_lcp(graph)
-        expected = vcg_price_rows(graph, routes)
+        expected = compute_price_table(graph, routes).rows
         actual = flat_price_rows(graph, routes)
         assert set(actual) == set(expected)
         for pair in expected:
@@ -187,8 +199,6 @@ class TestErrorParity:
         # *same* paths (scaling preserves every comparison and
         # tie-break) but report 10x LCP costs, pushing every transit
         # price negative.  Both sweeps must pick the same witness.
-        from repro.mechanism.vcg import compute_price_table
-
         graph = fig1_graph()
         scaled = ASGraph(
             nodes=[(n, graph.cost(n) * 10.0) for n in graph.nodes],

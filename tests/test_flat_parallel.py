@@ -1,14 +1,13 @@
 """Property tests for the sharded flat sweep's determinism guarantees.
 
-The ``flat-parallel`` engine's contract mirrors the ``parallel``
-engine's: sharding is *invisible*.  For any instance, the priced
-arrays -- and the dict rows derived from them -- are bit-identical to
-the single-process ``flat`` sweep's regardless of
+The ``flat`` engine's pooled sweep (``workers > 1``) is *invisible*:
+for any instance, the priced arrays -- and the dict rows derived from
+them -- are bit-identical to the inline sweep's regardless of
 
 * **worker count** (1 runs inline with no pool and no shared memory;
   2 and 4 fork real worker processes over shared-memory segments), and
-* **transit-shard order** (any partition of the demanded transit
-  nodes, in any order, merges to the same result),
+* **transit-shard order** (any partition of the demand's transit
+  groups, in any order, merges to the same result),
 
 and on defective instances (cut vertices, inconsistent route costs)
 the raised error class, message, and min-sequence witness match the
@@ -18,32 +17,38 @@ ties are where nondeterminism would hide), cut-vertex graphs for the
 error path, and random shard permutations.
 
 The shared-memory plumbing itself is pinned too: pooled sweeps must
-not leak ``/dev/shm`` segments, and the ``atexit`` backstop must
-unlink whatever an interrupted run leaves behind.
+not leak ``/dev/shm`` segments, a worker that dies must fail the sweep
+fast, and the ``atexit`` backstop must unlink whatever an interrupted
+run leaves behind.
 """
 
 from __future__ import annotations
 
 import glob
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 import repro.obs as obs
 from repro.exceptions import EngineError, NotBiconnectedError, MechanismError
 from repro.graphs.asgraph import ASGraph
-from repro.graphs.generators import fig1_graph
+from repro.graphs.generators import fig1_graph, isp_like_graph
 from repro.mechanism.vcg import compute_price_table
 from repro.routing.allpairs import all_pairs_lcp
-from repro.routing.engines import FlatParallelEngine, get_engine
+from repro.routing.engines import FlatEngine, get_engine
 from repro.routing import flatsweep
 from repro.routing.flatsweep import (
     FlatSweepStats,
     demand_from_routes,
     flat_price_arrays,
-    flat_sweep_sharded,
-    shard_transit_nodes,
+    sweep_demand,
 )
 
 
@@ -89,25 +94,32 @@ def test_worker_count_invariance(graph):
     for workers in (1, 2, 4):
         arrays = flat_price_arrays(graph, routes, workers=workers)
         assert np.array_equal(baseline.prices, arrays.prices), workers
-        engine = FlatParallelEngine(workers=workers)
+        engine = FlatEngine(workers=workers)
         assert engine.price_table(graph, routes).rows == reference.rows, workers
+
+
+def _random_partition(groups, rng):
+    """The groups shuffled and dealt into a random number of shards,
+    themselves in random order."""
+    order = list(range(groups))
+    rng.shuffle(order)
+    count = rng.randint(1, max(1, groups))
+    shards = [order[i::count] for i in range(count)]
+    rng.shuffle(shards)
+    return shards
 
 
 @settings(max_examples=8, deadline=None)
 @given(biconnected_graphs(), st.randoms(use_true_random=False))
 def test_shard_order_invariance(graph, rng):
-    """Any partition of the demanded transit set, in any order, same
+    """Any partition of the demand's transit groups, in any order, same
     priced arrays bit for bit."""
     routes = all_pairs_lcp(graph)
     baseline = flat_price_arrays(graph, routes)
 
-    transit = list(demand_from_routes(graph, routes).transit_nodes())
-    rng.shuffle(transit)
-    shard_count = rng.randint(1, max(1, len(transit)))
-    shards = shard_transit_nodes(transit, shard_count)
-    rng.shuffle(shards)
-
-    arrays = flat_sweep_sharded(graph, shards, workers=2, routes=routes)
+    demand = demand_from_routes(graph, routes)
+    shards = _random_partition(demand.num_groups, rng)
+    arrays = sweep_demand(demand, workers=2, shard_lists=shards)
     assert np.array_equal(baseline.prices, arrays.prices)
     assert np.array_equal(baseline.entry_k, arrays.entry_k)
     assert arrays.to_rows() == baseline.to_rows()
@@ -122,7 +134,7 @@ def test_error_ordering_parity_on_cut_vertex_graphs(graph):
         get_engine("reference").price_table(graph)
     for workers in (1, 2, 4):
         with pytest.raises(NotBiconnectedError) as flat_error:
-            FlatParallelEngine(workers=workers).price_table(graph)
+            FlatEngine(workers=workers).price_table(graph)
         assert str(flat_error.value) == str(reference_error.value), workers
 
 
@@ -132,12 +144,10 @@ def test_error_ordering_survives_shard_permutation(graph, rng):
     with pytest.raises(NotBiconnectedError) as reference_error:
         get_engine("reference").price_table(graph)
     routes = all_pairs_lcp(graph)  # cut vertices keep the graph connected
-    transit = list(demand_from_routes(graph, routes).transit_nodes())
-    rng.shuffle(transit)
-    shards = shard_transit_nodes(transit, rng.randint(1, max(1, len(transit))))
-    rng.shuffle(shards)
+    demand = demand_from_routes(graph, routes)
+    shards = _random_partition(demand.num_groups, rng)
     with pytest.raises(NotBiconnectedError) as flat_error:
-        flat_sweep_sharded(graph, shards, workers=2, routes=routes)
+        sweep_demand(demand, workers=2, shard_lists=shards)
     assert str(flat_error.value) == str(reference_error.value)
 
 
@@ -162,46 +172,41 @@ def test_negative_price_witness_matches_reference_pooled():
 
 
 class TestSharding:
-    def test_shard_transit_nodes_partitions(self):
-        shards = shard_transit_nodes(list(range(10)), 3)
-        assert sorted(k for shard in shards for k in shard) == list(range(10))
-        assert len(shards) == 3
-
-    def test_shard_transit_nodes_caps_at_population(self):
-        assert shard_transit_nodes([1, 2], 8) == [(1,), (2,)]
-
-    def test_shard_transit_nodes_rejects_bad_count(self):
-        with pytest.raises(EngineError, match="shard count"):
-            shard_transit_nodes([1, 2, 3], 0)
-
-    def test_sharded_rejects_non_partition(self, fig1):
-        routes = all_pairs_lcp(fig1)
-        transit = list(demand_from_routes(fig1, routes).transit_nodes())
-        with pytest.raises(EngineError, match="partition the demanded transit set"):
-            flat_sweep_sharded(fig1, [tuple(transit[:-1])], routes=routes)
-        with pytest.raises(EngineError, match="partition the demanded transit set"):
-            flat_sweep_sharded(
-                fig1, [tuple(transit), (transit[0],)], routes=routes
+    def test_sharded_rejects_non_partition(self):
+        # A missing group would leave its prices unwritten; a repeated
+        # one would be priced twice.  Both are refused before any work.
+        graph = isp_like_graph(40, seed=6)
+        demand = demand_from_routes(graph, all_pairs_lcp(graph))
+        groups = list(range(demand.num_groups))
+        for workers in (1, 2):
+            for shards in (
+                [groups[:-1]],
+                [groups[:-1], groups[-1:], groups[:1]],
+                [groups[1:], [-1]],
+                [groups[1:], [demand.num_groups]],
+            ):
+                with pytest.raises(EngineError, match="must partition"):
+                    sweep_demand(demand, workers=workers, shard_lists=shards)
+            sweep_demand(
+                demand, workers=workers, shard_lists=[groups[1:], groups[:1]]
             )
 
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(EngineError, match="worker count"):
-            FlatParallelEngine(workers=0)
-        with pytest.raises(EngineError, match="shards per worker"):
-            FlatParallelEngine(shards_per_worker=0)
+            FlatEngine(workers=0)
 
-    def test_default_worker_count_is_cpu_count(self):
-        import os
-
-        assert FlatParallelEngine().workers == (os.cpu_count() or 1)
-        assert FlatParallelEngine(workers=3).workers == 3
+    def test_default_worker_count_is_one(self):
+        assert FlatEngine().workers == 1
+        assert FlatEngine(workers=3).workers == 3
 
     def test_stats_record_layout(self, fig1):
         routes = all_pairs_lcp(fig1)
+        groups = demand_from_routes(fig1, routes).num_groups
         stats = FlatSweepStats()
         flat_price_arrays(fig1, routes, workers=2, stats=stats)
         assert stats.workers == 2
-        assert stats.shards >= 2
+        # the default layout: four round-robin shards per worker
+        assert stats.shards == min(2 * 4, groups)
         inline = FlatSweepStats()
         flat_price_arrays(fig1, routes, stats=inline)
         assert inline.workers == 1
@@ -233,6 +238,44 @@ class TestSharedMemoryHygiene:
         assert self._leftovers() == []
         assert flatsweep._LIVE_ARENAS == []
 
+    def test_dying_worker_raises_engine_error(self):
+        # One worker hard-exits on its shard.  The sweep must fail fast
+        # with an EngineError and unlink every segment; a pool that
+        # waited for the lost task would hang until the timeout.
+        child = textwrap.dedent(
+            """
+            import glob, os
+            from repro.exceptions import EngineError
+            from repro.graphs.generators import isp_like_graph
+            from repro.routing import flatsweep
+
+            price_shard = flatsweep._sweep_shard_worker
+
+            def dying(groups):
+                if 0 in groups:
+                    os._exit(3)
+                return price_shard(groups)
+
+            flatsweep._sweep_shard_worker = dying
+            try:
+                flatsweep.flat_price_arrays(isp_like_graph(40, seed=6), workers=2)
+            except EngineError as exc:
+                print("raised:", exc)
+            print("left:", len(glob.glob(f"/dev/shm/repro-flat-{os.getpid()}-*")))
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", child],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 0, done.stderr
+        assert "raised: a flat sweep worker died (2 workers, 8 shards)" in done.stdout
+        assert "left: 0" in done.stdout
+
     def test_atexit_backstop_unlinks_live_arenas(self):
         # Simulate an interrupted run: an arena created but never
         # destroyed.  The atexit hook must unlink its segments.
@@ -256,7 +299,7 @@ class TestSharedMemoryHygiene:
 class TestObservability:
     def test_flat_parallel_emits_layout_counters(self, fig1):
         observer = obs.Obs(sinks=[obs.MemorySink()])
-        engine = FlatParallelEngine(workers=2)
+        engine = FlatEngine(workers=2)
         table = engine.price_table(fig1, obs=observer)
         assert len(table.rows) > 0
         name = engine.name
@@ -276,7 +319,7 @@ class TestObservability:
         path = tmp_path / "flat.jsonl"
         observer = obs.Obs()
         sink = observer.add_sink(obs.JSONLSink(str(path)))
-        FlatParallelEngine(workers=2).price_table(fig1, obs=observer)
+        FlatEngine(workers=2).price_table(fig1, obs=observer)
         sink.close()
         summary = summarize_trace(str(path))
         assert summary.flat_seen

@@ -4,8 +4,8 @@
 LCP, transit cost, and Theorem 1 price of the Figure 1 worked example,
 plus the Figure 2 route tree ``T(Z)``.  Every registered engine must
 reproduce the snapshot **exactly** under the default tie-break --
-Figure 1 uses small integer costs, so even the vectorized engine's
-float sums are exact and no epsilon is tolerated.  A diff here means
+Figure 1 uses small integer costs, so even the cost-only ``flat``
+engine's float sums are exact and no epsilon is tolerated.  A diff here means
 either a broken engine or a deliberate tie-break change (in which case
 the fixture must be regenerated and the change called out in review).
 """
@@ -35,8 +35,14 @@ def fig1():
     return fig1_graph()
 
 
-def _engine(name):
-    options = {"workers": 2} if name == "parallel" else {}
+#: Every registered engine with default options, plus ``flat`` with two
+#: workers so the pooled sweep is pinned too.
+CONFIGS = {name: (name, {}) for name in engine_names()}
+CONFIGS["flat-parallel"] = ("flat", {"workers": 2})
+
+
+def _engine(config):
+    name, options = CONFIGS[config]
     return get_engine(name, **options)
 
 
@@ -48,7 +54,7 @@ def test_fixture_is_complete(golden, fig1):
     assert golden["price_table"]["4->5"]["prices"] == {"3": 9.0}
 
 
-@pytest.mark.parametrize("name", engine_names())
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_engine_reproduces_golden_prices(golden, fig1, name):
     engine = _engine(name)
     table = engine.price_table(fig1)
@@ -71,7 +77,7 @@ def test_engine_reproduces_golden_prices(golden, fig1, name):
     assert stored <= seen, name
 
 
-@pytest.mark.parametrize("name", [n for n in engine_names() if n != "scipy"])
+@pytest.mark.parametrize("name", engine_names())
 def test_engine_reproduces_fig2_tree(golden, fig1, name):
     engine = _engine(name)
     if not engine.carries_paths:
